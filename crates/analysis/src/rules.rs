@@ -101,17 +101,17 @@ reductions like sums — justify with\n\
     },
     Rule {
         id: "det-thread",
-        summary: "thread::spawn/std::thread outside the engine and shard modules",
+        summary: "thread::spawn/std::thread outside the engine and shard (lookup worker) modules",
         explain: "\
 All parallelism in this workspace flows through two audited modules:\n\
 crates/sim/src/engine.rs (the shared-cursor matrix executor behind\n\
---jobs) and crates/sim/src/shard.rs (the set-sharded worker pipeline\n\
-behind --shards). Both were designed so that thread scheduling cannot\n\
-reach the output: cells land in a slot-indexed result vector, shard\n\
-partials merge in deterministic set order. A thread spawned anywhere\n\
-else has no such merge discipline — whatever it computes reaches the\n\
-results in completion order, which varies run to run and silently\n\
-breaks the byte-identical JSONL contract.\n\
+--jobs) and crates/sim/src/shard.rs (the set-range lookup workers behind\n\
+--shards). Both were designed so that thread scheduling cannot reach\n\
+the output: cells land in a slot-indexed result vector, and range plans\n\
+are received per chunk in range order and spliced in stream order. A\n\
+thread spawned anywhere else has no such discipline — whatever it\n\
+computes reaches the results in completion order, which varies run to\n\
+run and silently breaks the byte-identical JSONL contract.\n\
 \n\
 Flagged outside those two files: `thread::spawn`, any `std::thread`\n\
 path (scope, spawn, available_parallelism via the module), and\n\
@@ -209,13 +209,13 @@ hot-alloc / hot-callee), or declare the cold boundary with an allow.",
         id: "merge-commutative",
         summary: "shard-merge fn uses an order-dependent operation",
         explain: "\
-Fns annotated `// audit: merge` fold one shard's partial state into\n\
-another (CtrlStats::merge, EpochPartial::absorb, TrafficMatrix::merge,\n\
-merge_shard_records, …). The engine merges shard partials in set order,\n\
-but the byte-identity contract at any `--shards` width additionally\n\
-requires every merge step to be commutative and associative — then the\n\
-fold's result is independent of how work was sharded in the first\n\
-place.\n\
+Fns annotated `// audit: merge` fold one partial state into another\n\
+(CtrlStats::merge, EpochPartial::absorb, TrafficMatrix::merge,\n\
+merge_shard_events, …). The set-range lookup sums its ranges' counters\n\
+and epoch partials in range order, but the byte-identity contract at\n\
+any `--shards` width additionally requires every merge step to be\n\
+commutative and associative — then the fold's result is independent of\n\
+how the sets were split in the first place.\n\
 \n\
 Flagged inside merge fns: non-commutative compound assigns (`-=`, `*=`,\n\
 `/=`, `%=`, `&=`, `^=`, shifts); a plain `=` overwriting a `self` field\n\

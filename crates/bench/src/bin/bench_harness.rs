@@ -14,12 +14,12 @@
 //! * `--repeats N` — override the suite's timed repeat count;
 //! * `--jobs N` — engine width (default 1: serial timing is the most
 //!   stable);
-//! * `--shards N` — set-sharded workers inside every cell. Restricts the
-//!   suite to the designs that support sharding (the baselines would
-//!   silently fall back to the serial path and dilute the measurement),
-//!   and records the width in the BENCH header so `bench_tool compare`
-//!   between `--shards 1` and `--shards N` turns the intra-run speedup
-//!   into a diffable artifact;
+//! * `--shards N` — set-range lookup workers inside every Bumblebee cell
+//!   (the baselines keep their lookup on the cell's thread). The width is
+//!   recorded in the BENCH header so `bench_tool compare` between
+//!   `--shards 1` and `--shards N` turns the intra-run speedup into a
+//!   diffable artifact; the cycle-domain invariants are identical at any
+//!   width;
 //! * `--batch N` — access-pipeline chunk width (recorded in the BENCH
 //!   header; outputs are byte-identical at any width, so this is purely a
 //!   throughput knob — compare `--batch 1` against the default to measure
@@ -34,6 +34,7 @@
 
 use memsim_analysis::exitcode;
 use bumblebee_bench::perf::{BenchCase, BenchReport, Suite, BENCH_SCHEMA};
+use bumblebee_bench::{positive_flag, usage_exit};
 use memsim_dram::presets;
 use memsim_obs::LatCollector;
 use memsim_sim::{Engine, ExperimentMatrix, MetricsConfig, ResultSet};
@@ -83,27 +84,13 @@ fn parse_args() -> Args {
                     std::process::exit(exitcode::USAGE);
                 }));
             }
-            "--jobs" => {
-                args.jobs = value("--jobs").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --jobs needs a positive number");
-                    std::process::exit(exitcode::USAGE);
-                });
-            }
-            "--shards" => {
-                args.shards = Some(value("--shards").parse().ok().filter(|&s| s > 0).unwrap_or_else(
-                    || {
-                        eprintln!("error: --shards needs a positive number");
-                        std::process::exit(exitcode::USAGE);
-                    },
-                ));
-            }
-            "--batch" => {
-                args.batch = Some(value("--batch").parse().ok().filter(|&b| b > 0).unwrap_or_else(
-                    || {
-                        eprintln!("error: --batch needs a positive number");
-                        std::process::exit(exitcode::USAGE);
-                    },
-                ));
+            "--jobs" | "--shards" | "--batch" => {
+                let n = positive_flag(&a, it.next()).unwrap_or_else(|e| usage_exit(&e));
+                match a.as_str() {
+                    "--jobs" => args.jobs = n,
+                    "--shards" => args.shards = Some(n),
+                    _ => args.batch = Some(n),
+                }
             }
             "--out" => args.out = PathBuf::from(value("--out")),
             "--sha" => args.sha = Some(value("--sha")),
@@ -154,11 +141,6 @@ fn main() {
     let mut suite = if args.quick { Suite::quick() } else { Suite::canonical() };
     if let Some(r) = args.repeats {
         suite.repeats = r.max(1);
-    }
-    if args.shards.is_some() {
-        // A sharded timing run measures the sharded pipeline; designs
-        // that would fall back to the serial path only dilute it.
-        suite.designs.retain(memsim_sim::Design::supports_sharding);
     }
     let matrix =
         ExperimentMatrix::cross("bench", &suite.designs, &suite.profiles, &suite.cfg);

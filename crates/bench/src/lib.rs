@@ -11,13 +11,16 @@
 //! * `--workloads a,b,c` — subset of Table II benchmarks (default: all 14);
 //! * `--jobs N` — parallel experiment cells (default: `BUMBLEBEE_JOBS`
 //!   or the machine's available parallelism; `1` = serial);
-//! * `--shards N` — set-sharded workers *within* each cell for designs
-//!   that support it (default: `BUMBLEBEE_SHARDS` or the serial
-//!   single-controller path); composes multiplicatively with `--jobs`;
+//! * `--shards N` — set-range lookup workers *within* each cell for the
+//!   Bumblebee designs (default: `BUMBLEBEE_SHARDS` or lookup on the
+//!   cell's own thread); composes multiplicatively with `--jobs`;
 //! * `--batch N` — access-pipeline chunk width (default: `BUMBLEBEE_BATCH`
-//!   or 4096); a pure performance knob — every output is byte-identical
-//!   at any width, and `--batch 1` replays the one-access-at-a-time
-//!   pipeline exactly;
+//!   or 4096);
+//!
+//! `--jobs`, `--shards` and `--batch` are pure performance knobs: every
+//! output is byte-identical at any value. A zero or non-numeric value of
+//! one of them, or of its variable, exits 2 with one line of explanation.
+//!
 //! * `--metrics` — record per-run observability (epoch time-series, event
 //!   trace, device histograms) and write `<figure>.epochs.jsonl`,
 //!   `<figure>.trace.jsonl` and `<figure>.metrics.jsonl` alongside the
@@ -35,6 +38,7 @@
 //! * `--out DIR` — directory for `*.jsonl` artifacts (default:
 //!   `BUMBLEBEE_RESULTS_DIR` or `./results`).
 
+use memsim_analysis::exitcode;
 use memsim_sim::{Engine, MetricsConfig, ResultSet, RunConfig};
 use memsim_trace::SpecProfile;
 use std::path::PathBuf;
@@ -70,15 +74,18 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// The experiment engine these options select: `--jobs` if given,
-    /// the environment otherwise, with progress lines enabled and metrics
-    /// recording when `--metrics` was passed. An explicit `--shards`
-    /// overrides `BUMBLEBEE_SHARDS`; without either the cells run
-    /// unsharded. An explicit `--batch` overrides `BUMBLEBEE_BATCH`.
+    /// The experiment engine these options select: `--jobs`, `--shards`
+    /// and `--batch` where given, `BUMBLEBEE_JOBS` / `BUMBLEBEE_SHARDS` /
+    /// `BUMBLEBEE_BATCH` otherwise, with progress lines enabled and
+    /// metrics recording when `--metrics` was passed. Without either,
+    /// cells use every core, plan on their own thread, and chunk at the
+    /// default width. A malformed variable exits 2 with one line (see
+    /// [`usage_exit`]), even where a flag overrides it.
     pub fn engine(&self) -> Engine {
+        let env = Engine::from_env().unwrap_or_else(|e| usage_exit(&e));
         let mut engine = match self.jobs {
-            Some(j) => Engine::new(j),
-            None => Engine::from_env(),
+            Some(j) => Engine::new(j).with_shards(env.shards()).with_batch(env.batch()),
+            None => env,
         }
         .with_progress(true)
         .with_spans(self.spans);
@@ -136,11 +143,15 @@ impl HarnessOpts {
 
 /// Parses command-line style arguments.
 ///
+/// # Errors
+///
+/// A `--jobs`, `--shards` or `--batch` value that is missing, zero or not
+/// a number is a one-line error naming the flag.
+///
 /// # Panics
 ///
-/// Panics with a usage message on malformed flags — appropriate for the
-/// experiment binaries these options drive.
-pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
+/// Panics with a usage message on other malformed flags.
+pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpts, String> {
     let mut scale = 16u64;
     let mut accesses: Option<u64> = None;
     let mut names: Option<Vec<String>> = None;
@@ -173,30 +184,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
                 let list = it.next().unwrap_or_else(|| panic!("--workloads needs a list"));
                 names = Some(list.split(',').map(str::to_string).collect());
             }
-            "--jobs" => {
-                jobs = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&j| j > 0)
-                        .unwrap_or_else(|| panic!("--jobs needs a positive number")),
-                );
-            }
-            "--shards" => {
-                shards = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&s| s > 0)
-                        .unwrap_or_else(|| panic!("--shards needs a positive number")),
-                );
-            }
-            "--batch" => {
-                batch = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&b| b > 0)
-                        .unwrap_or_else(|| panic!("--batch needs a positive number")),
-                );
-            }
+            "--jobs" => jobs = Some(positive_flag("--jobs", it.next())?),
+            "--shards" => shards = Some(positive_flag("--shards", it.next())?),
+            "--batch" => batch = Some(positive_flag("--batch", it.next())?),
             "--metrics" => metrics = true,
             "--trace-sample" => {
                 trace_sample = Some(
@@ -228,7 +218,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
         Some(ns) => ns.iter().map(|n| SpecProfile::named(n)).collect(),
         None => SpecProfile::table2(),
     };
-    HarnessOpts {
+    Ok(HarnessOpts {
         cfg,
         profiles,
         jobs,
@@ -239,7 +229,28 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
         spans,
         out: out.unwrap_or_else(memsim_sim::results_dir),
         rest,
-    }
+    })
+}
+
+/// The positive integer value of a performance flag (`--jobs`,
+/// `--shards`, `--batch`).
+///
+/// # Errors
+///
+/// A missing, zero or non-numeric value.
+pub fn positive_flag(flag: &str, value: Option<String>) -> Result<usize, String> {
+    value
+        .as_deref()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{flag} needs a positive number, got {:?}", value.unwrap_or_default()))
+}
+
+/// Prints `error: <msg>` on one line and exits with the usage status
+/// ([`exitcode::USAGE`]): the run never started.
+pub fn usage_exit(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(exitcode::USAGE)
 }
 
 /// Strict `BUMBLEBEE_TRACE_SAMPLE` parsing: unset defers to the
@@ -259,9 +270,10 @@ fn trace_sample_env(value: Option<&str>) -> Option<u64> {
     }
 }
 
-/// Parses `std::env::args()` (skipping the binary name).
+/// Parses `std::env::args()` (skipping the binary name); a malformed
+/// performance flag exits 2 with one line ([`usage_exit`]).
 pub fn parse_env() -> HarnessOpts {
-    parse_args(std::env::args().skip(1))
+    parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e))
 }
 
 /// Times `f` over `iters` iterations after one warm-up call and prints a
@@ -286,6 +298,10 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> HarnessOpts {
+        try_opts(args).unwrap()
+    }
+
+    fn try_opts(args: &[&str]) -> Result<HarnessOpts, String> {
         parse_args(args.iter().map(|s| s.to_string()))
     }
 
@@ -387,9 +403,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--jobs needs a positive number")]
-    fn zero_jobs_panics() {
-        opts(&["--jobs", "0"]);
+    fn bad_jobs_is_an_error() {
+        assert_eq!(try_opts(&["--jobs", "0"]).unwrap_err(), "--jobs needs a positive number, got \"0\"");
+        assert_eq!(try_opts(&["--jobs"]).unwrap_err(), "--jobs needs a positive number, got \"\"");
     }
 
     #[test]
@@ -401,9 +417,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--shards needs a positive number")]
-    fn zero_shards_panics() {
-        opts(&["--shards", "0"]);
+    fn bad_shards_is_an_error() {
+        assert_eq!(try_opts(&["--shards", "0"]).unwrap_err(), "--shards needs a positive number, got \"0\"");
+        assert_eq!(
+            try_opts(&["--shards", "abc"]).unwrap_err(),
+            "--shards needs a positive number, got \"abc\""
+        );
     }
 
     #[test]
@@ -416,8 +435,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--batch needs a positive number")]
-    fn zero_batch_panics() {
-        opts(&["--batch", "0"]);
+    fn bad_batch_is_an_error() {
+        assert_eq!(try_opts(&["--batch", "0"]).unwrap_err(), "--batch needs a positive number, got \"0\"");
     }
 }

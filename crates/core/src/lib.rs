@@ -14,8 +14,11 @@
 //! * [`ble::Ble`] — block location entries for HBM frames;
 //! * [`set::RemapSet`] — one remapping set: the access flow of Fig. 5 and
 //!   the data-movement rules of §III-E;
-//! * [`controller::BumblebeeController`] — the full HMMC implementing
-//!   [`memsim_types::HybridMemoryController`];
+//! * [`controller::BumblebeeController`] — the HMMC implementing
+//!   [`memsim_types::HybridMemoryController`], over every set or over a
+//!   contiguous set range;
+//! * [`range`] — a set range's share of a planned chunk, the splice that
+//!   reassembles the serial plans, and the integer epoch partials;
 //! * [`config::BumblebeeConfig`] — tuning knobs and the ablation switches
 //!   used by the paper's Fig. 7 (fixed ratios, No-Multi, Meta-H,
 //!   Alloc-D/H, No-HMF);
@@ -46,8 +49,8 @@ pub mod controller;
 pub mod hot_table;
 pub mod metadata;
 pub mod prt;
+pub mod range;
 pub mod set;
-pub mod shard;
 
 pub use bitmap::BlockBitmap;
 pub use ble::{Ble, FrameMode};
@@ -57,4 +60,4 @@ pub use hot_table::{HotEntry, HotTable};
 pub use metadata::MetadataBreakdown;
 pub use prt::Prt;
 pub use set::RemapSet;
-pub use shard::{ControllerShard, EpochPartial};
+pub use range::{splice, EpochPartial, RangePlans};

@@ -29,17 +29,6 @@ impl DeviceCounters {
         self.read_bytes + self.write_bytes
     }
 
-    /// Adds every counter of `other` into `self` (commutative shard merge).
-    // audit: merge
-    pub fn merge(&mut self, other: &DeviceCounters) {
-        self.read_bytes += other.read_bytes;
-        self.write_bytes += other.write_bytes;
-        self.activates += other.activates;
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
-        self.chunk_accesses += other.chunk_accesses;
-    }
-
     /// Row-buffer hit rate over chunk accesses.
     pub fn row_hit_rate(&self) -> f64 {
         if self.chunk_accesses == 0 {
@@ -162,12 +151,27 @@ impl DramDevice {
 
     /// Dynamic energy in pJ from the traffic so far (activates + bursts).
     pub fn dynamic_energy_pj(&self) -> f64 {
-        dynamic_energy_pj_for(&self.cfg, &self.counters)
+        let (cfg, counters) = (&self.cfg, &self.counters);
+        let t = &cfg.timing;
+        let t_rc_ns = cfg.device_cycles_ns(u64::from(t.t_rc()));
+        let t_ras_ns = cfg.device_cycles_ns(u64::from(t.t_ras));
+        let t_rp_ns = cfg.device_cycles_ns(u64::from(t.t_rp));
+        let act =
+            counters.activates as f64 * cfg.power.activate_energy_pj(t_rc_ns, t_ras_ns, t_rp_ns);
+        let ns_per_byte = 1000.0 / (cfg.device_mhz as f64 * f64::from(cfg.bus_bytes_per_cycle));
+        let rd = cfg
+            .power
+            .read_energy_pj(counters.read_bytes as f64 * ns_per_byte, counters.read_bytes as f64);
+        let wr = cfg
+            .power
+            .write_energy_pj(counters.write_bytes as f64 * ns_per_byte, counters.write_bytes as f64);
+        act + rd + wr
     }
 
     /// Background + refresh energy in pJ over a run of `cpu_cycles`.
     pub fn background_energy_pj(&self, cpu_cycles: u64) -> f64 {
-        background_energy_pj_for(&self.cfg, cpu_cycles)
+        let ns = cpu_cycles as f64 * 1000.0 / self.cfg.cpu_mhz as f64;
+        self.cfg.power.background_energy_pj(ns, self.cfg.channels)
     }
 
     /// Aggregate data-bus busy cycles across channels (bandwidth
@@ -192,36 +196,6 @@ impl DramDevice {
         self.counters = DeviceCounters::default();
         self.histograms = DeviceHistograms::new();
     }
-}
-
-/// Background + refresh energy in pJ for a `cfg` device over `cpu_cycles`
-/// (the device-free counterpart of [`DramDevice::background_energy_pj`],
-/// used when pricing a merged sharded run).
-pub fn background_energy_pj_for(cfg: &DeviceConfig, cpu_cycles: u64) -> f64 {
-    let ns = cpu_cycles as f64 * 1000.0 / cfg.cpu_mhz as f64;
-    cfg.power.background_energy_pj(ns, cfg.channels)
-}
-
-/// Dynamic energy in pJ for `counters` worth of traffic on a `cfg` device.
-///
-/// Pure in its inputs, so shard workers can sum per-set [`DeviceCounters`]
-/// (integer, order-independent) and price the merged total exactly once —
-/// the result is identical at any shard count.
-pub fn dynamic_energy_pj_for(cfg: &DeviceConfig, counters: &DeviceCounters) -> f64 {
-    let t = &cfg.timing;
-    let t_rc_ns = cfg.device_cycles_ns(u64::from(t.t_rc()));
-    let t_ras_ns = cfg.device_cycles_ns(u64::from(t.t_ras));
-    let t_rp_ns = cfg.device_cycles_ns(u64::from(t.t_rp));
-    let act =
-        counters.activates as f64 * cfg.power.activate_energy_pj(t_rc_ns, t_ras_ns, t_rp_ns);
-    let ns_per_byte = 1000.0 / (cfg.device_mhz as f64 * f64::from(cfg.bus_bytes_per_cycle));
-    let rd = cfg
-        .power
-        .read_energy_pj(counters.read_bytes as f64 * ns_per_byte, counters.read_bytes as f64);
-    let wr = cfg
-        .power
-        .write_energy_pj(counters.write_bytes as f64 * ns_per_byte, counters.write_bytes as f64);
-    act + rd + wr
 }
 
 #[cfg(test)]
@@ -280,44 +254,6 @@ mod tests {
             now = d.access(Addr(x % (640 << 20)), 64, OpKind::Read, now);
         }
         assert!(d.counters().row_hit_rate() < 0.4, "rate {}", d.counters().row_hit_rate());
-    }
-
-    #[test]
-    fn energy_free_functions_match_device_methods() {
-        let mut d = DramDevice::new(presets::hbm2(64 << 20));
-        for i in 0..32u64 {
-            d.access(Addr(i * 4096), 2048, OpKind::Read, 0);
-        }
-        assert_eq!(dynamic_energy_pj_for(d.config(), d.counters()), d.dynamic_energy_pj());
-        assert_eq!(background_energy_pj_for(d.config(), 7777), d.background_energy_pj(7777));
-    }
-
-    #[test]
-    fn counters_merge_is_a_field_wise_sum() {
-        let a = DeviceCounters {
-            read_bytes: 1,
-            write_bytes: 2,
-            activates: 3,
-            row_hits: 4,
-            row_misses: 5,
-            chunk_accesses: 6,
-        };
-        let mut b = DeviceCounters {
-            read_bytes: 10,
-            write_bytes: 20,
-            activates: 30,
-            row_hits: 40,
-            row_misses: 50,
-            chunk_accesses: 60,
-        };
-        b.merge(&a);
-        assert_eq!(b.read_bytes, 11);
-        assert_eq!(b.write_bytes, 22);
-        assert_eq!(b.activates, 33);
-        assert_eq!(b.row_hits, 44);
-        assert_eq!(b.row_misses, 55);
-        assert_eq!(b.chunk_accesses, 66);
-        assert_eq!(b.total_bytes(), 33);
     }
 
     #[test]

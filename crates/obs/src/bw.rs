@@ -7,14 +7,12 @@
 //! * [`TrafficMatrix`] — per-device-class
 //!   ([`TrafficDevice`]: mHBM / cHBM / off-chip) per-cause byte and op
 //!   counters, pure integers with a commutative [`merge`](TrafficMatrix::merge)
-//!   so shard workers can accumulate independently and sum;
+//!   so independent accumulators can be summed;
 //! * [`TrafficAccum`] — the matrix plus per-class op-size
 //!   [`Pow2Histogram`]s and a per-access DRAM-op fan-out (MLP proxy)
 //!   histogram;
 //! * [`BwPoint`] — one epoch boundary's cumulative snapshot of class
-//!   bytes, sim cycles and per-channel data-bus busy cycles, with an
-//!   elementwise [`absorb`](BwPoint::absorb) so per-shard partials merge
-//!   into the exact global series at any shard width;
+//!   bytes, sim cycles and per-channel data-bus busy cycles;
 //! * [`reconcile`] — the hard exact check that the cause-attributed byte
 //!   sums equal the devices' undifferentiated
 //!   `DeviceCounters::total_bytes` totals (an unclassified or
@@ -34,9 +32,8 @@ pub const NUM_DEVICE_CLASSES: usize = TrafficDevice::ALL.len();
 
 /// Per-device-class, per-cause byte and op counters.
 ///
-/// Integers only: merging per-shard matrices with [`merge`](Self::merge)
-/// is commutative and associative, so the merged matrix is independent of
-/// shard grouping.
+/// Integers only: merging matrices with [`merge`](Self::merge) is
+/// commutative and associative, so a sum is independent of grouping.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficMatrix {
     bytes: [[u64; NUM_CAUSES]; NUM_DEVICE_CLASSES],
@@ -89,8 +86,7 @@ impl TrafficMatrix {
         self.bytes.iter().flatten().sum()
     }
 
-    /// Adds every counter of `other` into `self` (commutative shard
-    /// merge).
+    /// Adds every counter of `other` into `self` (commutative merge).
     // audit: merge
     pub fn merge(&mut self, other: &TrafficMatrix) {
         for (dst, src) in self.bytes.iter_mut().flatten().zip(other.bytes.iter().flatten()) {
@@ -137,7 +133,7 @@ pub fn reconcile(
     Ok(())
 }
 
-/// The full traffic-accounting state of one run (or one shard of it):
+/// The full traffic-accounting state of one run:
 /// the cause matrix, per-class op-size distributions, and the per-access
 /// DRAM-op fan-out histogram (a memory-level-parallelism proxy — how many
 /// transactions one LLC miss expands into).
@@ -200,8 +196,7 @@ impl TrafficAccum {
         }
     }
 
-    /// Adds every counter of `other` into `self` (commutative shard
-    /// merge).
+    /// Adds every counter of `other` into `self` (commutative merge).
     // audit: merge
     pub fn merge(&mut self, other: &TrafficAccum) {
         self.matrix.merge(&other.matrix);
@@ -215,17 +210,14 @@ impl TrafficAccum {
 /// One epoch boundary's cumulative bandwidth snapshot: class bytes, sim
 /// cycles, and per-channel data-bus busy cycles.
 ///
-/// Everything is cumulative-from-zero and integer, so per-shard partials
-/// [`absorb`](Self::absorb) into the exact global snapshot regardless of
-/// shard grouping (the sharded engine's cycle domain is the *sum* of
-/// per-set clocks, matching the merged `cycles` here). Utilization is
-/// derived at emit time from consecutive snapshots' deltas.
+/// Everything is cumulative from zero; utilization is derived at emit
+/// time from consecutive snapshots' deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BwPoint {
     /// Cumulative bytes per device class, indexed by
     /// [`TrafficDevice::index`].
     pub class_bytes: [u64; NUM_DEVICE_CLASSES], // audit: unit(bytes)
-    /// Cumulative simulated cycles (summed per-set clocks when sharded).
+    /// Cumulative simulated cycles.
     pub cycles: u64, // audit: unit(cycles)
     /// Cumulative per-channel busy cycles of the HBM stack's data buses.
     pub hbm_busy: Vec<u64>, // audit: unit(cycles)
@@ -242,29 +234,6 @@ impl BwPoint {
             cycles: 0,
             hbm_busy: vec![0; hbm_channels],
             dram_busy: vec![0; dram_channels],
-        }
-    }
-
-    /// Adds every component of `other` into `self` (commutative shard
-    /// merge of same-boundary partials).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel counts disagree — partials of one run always
-    /// share the device configuration.
-    // audit: merge
-    pub fn absorb(&mut self, other: &BwPoint) {
-        assert_eq!(self.hbm_busy.len(), other.hbm_busy.len(), "hbm channel count");
-        assert_eq!(self.dram_busy.len(), other.dram_busy.len(), "dram channel count");
-        for (dst, src) in self.class_bytes.iter_mut().zip(&other.class_bytes) {
-            *dst += src;
-        }
-        self.cycles += other.cycles;
-        for (dst, src) in self.hbm_busy.iter_mut().zip(&other.hbm_busy) {
-            *dst += src;
-        }
-        for (dst, src) in self.dram_busy.iter_mut().zip(&other.dram_busy) {
-            *dst += src;
         }
     }
 }
@@ -370,30 +339,5 @@ mod tests {
         merged.merge(&shards[1]);
         merged.merge(&shards[0]);
         assert_eq!(merged, global);
-    }
-
-    #[test]
-    fn bw_points_absorb_elementwise() {
-        let mut a = BwPoint::zeroed(2, 1);
-        a.class_bytes = [10, 20, 30];
-        a.cycles = 100;
-        a.hbm_busy = vec![5, 6];
-        a.dram_busy = vec![7];
-        let mut b = BwPoint::zeroed(2, 1);
-        b.class_bytes = [1, 2, 3];
-        b.cycles = 11;
-        b.hbm_busy = vec![1, 1];
-        b.dram_busy = vec![2];
-        a.absorb(&b);
-        assert_eq!(a.class_bytes, [11, 22, 33]);
-        assert_eq!(a.cycles, 111);
-        assert_eq!(a.hbm_busy, vec![6, 7]);
-        assert_eq!(a.dram_busy, vec![9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "hbm channel count")]
-    fn bw_points_reject_mismatched_channel_counts() {
-        BwPoint::zeroed(2, 1).absorb(&BwPoint::zeroed(8, 1));
     }
 }

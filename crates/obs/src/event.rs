@@ -169,8 +169,20 @@ impl TraceEvent {
 pub struct TimedEvent {
     /// Controller access count when the event fired (the trace timeline).
     pub seq: u64,
+    /// Emission phase within one access: a pressure-flush round stamps its
+    /// events with the flushed set's window position, every other event
+    /// carries [`ACCESS_RANK`](Self::ACCESS_RANK). `(seq, rank)` orders the
+    /// events of set-range controllers exactly as one whole-range
+    /// controller emits them (see [`merge_shard_events`]).
+    pub rank: u32,
     /// The event.
     pub event: TraceEvent,
+}
+
+impl TimedEvent {
+    /// The rank of every event outside a pressure-flush round: after all
+    /// flush events of the same access.
+    pub const ACCESS_RANK: u32 = u32::MAX;
 }
 
 /// A bounded ring of [`TimedEvent`]s: the newest `capacity` events are
@@ -236,9 +248,9 @@ impl EventRing {
 /// Each part is `(events_kept_oldest_first, dropped)` from one shard's
 /// ring. Because every shard keeps its own newest `capacity` events, the
 /// union always contains the globally newest `capacity` — so sorting the
-/// union by `seq` (stable: all events of one seq come from one shard, in
-/// emission order) and keeping the tail reproduces the same kept set at
-/// any shard count. Returns `(merged_events, dropped)` where `dropped`
+/// union by `(seq, rank)` and keeping the tail reproduces the same kept
+/// set at any shard count. The sort is stable and parts come in set
+/// order, so events of one `(seq, rank)` keep their emission order. Returns `(merged_events, dropped)` where `dropped`
 /// counts everything recorded but not kept.
 // audit: merge
 pub fn merge_shard_events(
@@ -252,7 +264,7 @@ pub fn merge_shard_events(
         recorded += events.len() as u64 + dropped;
         all.extend(events);
     }
-    all.sort_by_key(|e| e.seq);
+    all.sort_by_key(|e| (e.seq, e.rank));
     if all.len() > capacity {
         all.drain(..all.len() - capacity);
     }
@@ -265,7 +277,7 @@ mod tests {
     use super::*;
 
     fn ev(seq: u64) -> TimedEvent {
-        TimedEvent { seq, event: TraceEvent::PrtMiss { set: 0, page: seq as u16 } }
+        TimedEvent { seq, rank: 0, event: TraceEvent::PrtMiss { set: 0, page: seq as u16 } }
     }
 
     #[test]

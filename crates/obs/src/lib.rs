@@ -78,7 +78,7 @@ pub use bw::{reconcile, BwPoint, TrafficAccum, TrafficMatrix};
 pub use event::{merge_shard_events, EventRing, TimedEvent, TraceEvent};
 pub use hist::{DeviceHistograms, Pow2Histogram};
 pub use lat::{
-    merge_shard_records, sampled, AccessRecord, LatCollector, LatRing, PathLatency, QueueGauge,
+    sampled, AccessRecord, LatCollector, LatRing, PathLatency, QueueGauge,
 };
 pub use recorder::{MetricsConfig, MetricsRecorder, NoopRecorder, RunRecorder, Telemetry};
 pub use snapshot::{EpochGauges, EpochSnapshot, OCC_BUCKETS};

@@ -43,9 +43,10 @@ pub trait MetricsRecorder: std::fmt::Debug + Send {
         0
     }
 
-    /// Receives one event, stamped with the controller access counter.
+    /// Receives one event, stamped with the controller access counter and
+    /// its emission rank within that access.
     // audit: hot-path
-    fn record_event(&mut self, _seq: u64, _ev: &TraceEvent) {}
+    fn record_event(&mut self, _ev: &TimedEvent) {}
 
     /// Receives one epoch snapshot.
     // audit: hot-path
@@ -108,8 +109,8 @@ impl MetricsRecorder for RunRecorder {
     }
 
     // audit: hot-path
-    fn record_event(&mut self, seq: u64, ev: &TraceEvent) {
-        self.ring.push(TimedEvent { seq, event: *ev });
+    fn record_event(&mut self, ev: &TimedEvent) {
+        self.ring.push(*ev);
     }
 
     // audit: hot-path
@@ -134,6 +135,7 @@ pub struct Telemetry {
     rec: Option<Box<dyn MetricsRecorder>>,
     interval: u64,
     accesses: u64,
+    rank: u32,
     epoch: u64,
     last: CtrlStats,
 }
@@ -144,6 +146,7 @@ impl Telemetry {
         self.interval = rec.epoch_interval();
         self.rec = Some(rec);
         self.accesses = 0;
+        self.rank = TimedEvent::ACCESS_RANK;
         self.epoch = 0;
         self.last = CtrlStats::new();
     }
@@ -176,13 +179,19 @@ impl Telemetry {
 
     /// Sets the access counter to `n` without ticking.
     ///
-    /// Sharded runs use this to stamp events with the *global* access
-    /// index of the access being processed (each worker sees only the
-    /// accesses it owns, so counting ticks locally would produce
-    /// shard-relative timestamps). Epoch sampling in that mode is driven
-    /// by the merge step, never by per-shard [`tick`](Self::tick)s.
+    /// A controller that owns only some remapping sets uses this to stamp
+    /// events with the *global* index of the access being processed; its
+    /// epochs are sampled by the caller from summed partials, never by
+    /// [`tick`](Self::tick).
     pub fn sync_accesses(&mut self, n: u64) {
         self.accesses = n;
+    }
+
+    /// Sets the emission rank stamped on the following events (see
+    /// [`TimedEvent::rank`]).
+    // audit: hot-path
+    pub fn set_rank(&mut self, rank: u32) {
+        self.rank = rank;
     }
 
     /// Counts one access; `true` when an epoch boundary was reached and
@@ -201,7 +210,7 @@ impl Telemetry {
     // audit: hot-path
     pub fn event(&mut self, ev: TraceEvent) {
         if let Some(r) = self.rec.as_deref_mut() {
-            r.record_event(self.accesses, &ev);
+            r.record_event(&TimedEvent { seq: self.accesses, rank: self.rank, event: ev });
         }
     }
 

@@ -62,15 +62,26 @@ impl Design {
         !matches!(self, Design::NoHbm)
     }
 
-    /// Whether the design can run set-sharded
+    /// Whether the design's lookup stage can be split over set ranges
     /// ([`run_design_sharded`](crate::shard::run_design_sharded)).
     ///
     /// True exactly for the designs built on the Bumblebee controller,
     /// whose per-access state is confined to the accessed remapping set.
     /// The baselines keep globally coupled state (fault queues, global
-    /// clocks) and fall back to the serial path under `--shards`.
+    /// clocks) and keep serial lookup under `--shards`.
     pub fn supports_sharding(&self) -> bool {
         matches!(self, Design::Bumblebee | Design::Ablation(_))
+    }
+
+    /// The Bumblebee configuration of a Bumblebee-based design with SRAM
+    /// metadata budget `sram_budget`; `None` for the baselines.
+    pub(crate) fn bumblebee_config(&self, sram_budget: u64) -> Option<BumblebeeConfig> {
+        let base = match self {
+            Design::Bumblebee => BumblebeeConfig::paper(),
+            Design::Ablation(label) => ablations::config_for(label),
+            _ => return None,
+        };
+        Some(BumblebeeConfig { sram_budget, ..base })
     }
 
     /// Builds the controller for this design.
@@ -84,13 +95,10 @@ impl Design {
                 AnyController::Chameleon(Chameleon::new(geometry, sram_budget))
             }
             Design::Hybrid2 => AnyController::Hybrid2(Hybrid2::new(geometry, sram_budget)),
-            Design::Bumblebee => AnyController::Bumblebee(BumblebeeController::new(
-                geometry,
-                BumblebeeConfig { sram_budget, ..BumblebeeConfig::paper() },
-            )),
-            Design::Ablation(label) => AnyController::Bumblebee(ablations::controller_for(
-                label, geometry, sram_budget,
-            )),
+            Design::Bumblebee | Design::Ablation(_) => {
+                let cfg = self.bumblebee_config(sram_budget).expect("a Bumblebee design");
+                Design::build_bumblebee(geometry, cfg)
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::jsonl::JsonObj;
 use crate::matrix::{Cell, ExperimentMatrix};
 use crate::report::SimReport;
-use crate::run::{run_design_batched, RunObservations};
+use crate::run::RunObservations;
 use crate::shard::run_design_sharded;
 use memsim_dram::presets;
 use memsim_obs::{span, BwPoint, LatCollector, MetricsConfig, Pow2Histogram, SpanTree};
@@ -62,31 +62,32 @@ impl Engine {
 
     /// Widths from the environment: `BUMBLEBEE_JOBS` (cells run
     /// concurrently; defaults to the machine's available parallelism),
-    /// `BUMBLEBEE_SHARDS` (set-shards within each cell; defaults to none,
-    /// i.e. the unsharded per-cell pipeline), and `BUMBLEBEE_BATCH`
-    /// (access-pipeline chunk width; defaults to [`DEFAULT_BATCH`]).
+    /// `BUMBLEBEE_SHARDS` (threads per cell, see
+    /// [`with_shards`](Self::with_shards); defaults to none), and
+    /// `BUMBLEBEE_BATCH` (access-pipeline chunk width; defaults to
+    /// [`DEFAULT_BATCH`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// A set-but-unusable value (zero or non-numeric) of any variable
-    /// panics with a message naming it — a silent fallback would run the
-    /// wrong experiment shape without anyone noticing.
-    pub fn from_env() -> Engine {
-        let jobs = positive_env("BUMBLEBEE_JOBS", std::env::var("BUMBLEBEE_JOBS").ok().as_deref())
-            .unwrap_or_else(available_parallelism);
-        let shards =
-            positive_env("BUMBLEBEE_SHARDS", std::env::var("BUMBLEBEE_SHARDS").ok().as_deref());
-        let batch =
-            positive_env("BUMBLEBEE_BATCH", std::env::var("BUMBLEBEE_BATCH").ok().as_deref())
-                .unwrap_or(DEFAULT_BATCH);
-        Engine::new(jobs).with_shards(shards).with_batch(batch)
+    /// A set-but-unusable value (zero or non-numeric) of any variable is a
+    /// one-line error naming it — a silent fallback would run the wrong
+    /// experiment shape without anyone noticing.
+    pub fn from_env() -> Result<Engine, String> {
+        let var = |name: &str| positive_env(name, std::env::var(name).ok().as_deref());
+        let jobs = var("BUMBLEBEE_JOBS")?.unwrap_or_else(available_parallelism);
+        let shards = var("BUMBLEBEE_SHARDS")?;
+        let batch = var("BUMBLEBEE_BATCH")?.unwrap_or(DEFAULT_BATCH);
+        Ok(Engine::new(jobs).with_shards(shards).with_batch(batch))
     }
 
-    /// Sets the intra-run shard count: every cell whose design supports
-    /// set-sharding ([`Design::supports_sharding`](crate::Design::supports_sharding))
-    /// runs as `Some(n)` deterministic sub-runs plus a merge
-    /// ([`run_design_sharded`]); other designs keep the serial pipeline.
-    /// `None` (the default) keeps the serial pipeline everywhere.
+    /// Sets the intra-run shard count: with `Some(n)`, `n ≥ 2`, every cell
+    /// whose design supports set-range lookup
+    /// ([`Design::supports_sharding`](crate::Design::supports_sharding))
+    /// plans on `n` worker threads, one per contiguous set range, while
+    /// the cell's own thread generates and services
+    /// ([`run_design_sharded`]). Other designs, `Some(1)` and `None` (the
+    /// default) plan on the cell's thread. Purely a performance knob:
+    /// every output is byte-identical at any value.
     pub fn with_shards(mut self, shards: Option<usize>) -> Engine {
         self.shards = shards;
         self
@@ -204,23 +205,14 @@ impl Engine {
                 span::enable();
             }
             let start = Instant::now(); // audit: allow(det-clock) -- per-cell wall-time telemetry, excluded from determinism diffs
-            let outcome = match self.shards {
-                Some(n) if cell.design.supports_sharding() => run_design_sharded(
-                    cell.design,
-                    &cell.cfg,
-                    &cell.profile,
-                    self.metrics.as_ref(),
-                    n,
-                    self.batch,
-                ),
-                _ => run_design_batched(
-                    cell.design,
-                    &cell.cfg,
-                    &cell.profile,
-                    self.metrics.as_ref(),
-                    self.batch,
-                ),
-            };
+            let outcome = run_design_sharded(
+                cell.design,
+                &cell.cfg,
+                &cell.profile,
+                self.metrics.as_ref(),
+                self.shards.unwrap_or(1),
+                self.batch,
+            );
             let nanos = start.elapsed().as_nanos() as u64;
             let tree = if self.spans { Some(span::collect()) } else { None };
             if self.progress {
@@ -308,19 +300,20 @@ fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Parses a width override (`BUMBLEBEE_JOBS` / `BUMBLEBEE_SHARDS`).
-/// `None` means the variable is unset and the caller's default applies.
+/// Parses a width override (`BUMBLEBEE_JOBS` / `BUMBLEBEE_SHARDS` /
+/// `BUMBLEBEE_BATCH`). `Ok(None)` means the variable is unset and the
+/// caller's default applies.
 ///
-/// # Panics
+/// # Errors
 ///
-/// A set-but-unusable value (zero or non-numeric) panics with a message
-/// naming the variable: silently substituting a different width would run
-/// a differently-shaped experiment than the one the user asked for.
-fn positive_env(name: &str, var: Option<&str>) -> Option<usize> {
-    let raw = var?;
+/// A set-but-unusable value (zero or non-numeric) is an error naming the
+/// variable: silently substituting a different width would run a
+/// differently-shaped experiment than the one the user asked for.
+fn positive_env(name: &str, var: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = var else { return Ok(None) };
     match raw.trim().parse::<usize>() {
-        Ok(v) if v > 0 => Some(v),
-        _ => panic!("{name}={raw:?}: expected a positive integer (unset it to use the default)"),
+        Ok(v) if v > 0 => Ok(Some(v)),
+        _ => Err(format!("{name}={raw:?}: expected a positive integer (unset it to use the default)")),
     }
 }
 
@@ -903,44 +896,32 @@ mod tests {
 
     #[test]
     fn engine_from_env_is_at_least_one() {
-        assert!(Engine::from_env().jobs() >= 1);
+        assert!(Engine::from_env().unwrap().jobs() >= 1);
     }
 
     #[test]
     fn positive_env_accepts_positive_and_defers_when_unset() {
-        assert_eq!(positive_env("BUMBLEBEE_JOBS", Some("3")), Some(3));
-        assert_eq!(positive_env("BUMBLEBEE_SHARDS", Some(" 8 ")), Some(8), "whitespace tolerated");
-        assert_eq!(positive_env("BUMBLEBEE_JOBS", None), None, "unset means default");
+        assert_eq!(positive_env("BUMBLEBEE_JOBS", Some("3")), Ok(Some(3)));
+        assert_eq!(positive_env("BUMBLEBEE_SHARDS", Some(" 8 ")), Ok(Some(8)), "whitespace tolerated");
+        assert_eq!(positive_env("BUMBLEBEE_JOBS", None), Ok(None), "unset means default");
     }
 
     #[test]
-    #[should_panic(expected = "BUMBLEBEE_JOBS=\"zero\": expected a positive integer")]
-    fn positive_env_rejects_non_numeric() {
-        positive_env("BUMBLEBEE_JOBS", Some("zero"));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_SHARDS=\"0\": expected a positive integer")]
-    fn positive_env_rejects_zero() {
-        positive_env("BUMBLEBEE_SHARDS", Some("0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_JOBS=\"\": expected a positive integer")]
-    fn positive_env_rejects_empty() {
-        positive_env("BUMBLEBEE_JOBS", Some(""));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_BATCH=\"0\": expected a positive integer")]
-    fn positive_env_rejects_zero_batch() {
-        positive_env("BUMBLEBEE_BATCH", Some("0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_BATCH=\"many\": expected a positive integer")]
-    fn positive_env_rejects_non_numeric_batch() {
-        positive_env("BUMBLEBEE_BATCH", Some("many"));
+    fn positive_env_rejects_zero_empty_and_non_numeric() {
+        for (name, raw) in [
+            ("BUMBLEBEE_JOBS", "zero"),
+            ("BUMBLEBEE_SHARDS", "0"),
+            ("BUMBLEBEE_JOBS", ""),
+            ("BUMBLEBEE_BATCH", "0"),
+            ("BUMBLEBEE_BATCH", "many"),
+        ] {
+            assert_eq!(
+                positive_env(name, Some(raw)),
+                Err(format!(
+                    "{name}={raw:?}: expected a positive integer (unset it to use the default)"
+                ))
+            );
+        }
     }
 
     #[test]
@@ -971,27 +952,13 @@ mod tests {
             assert_eq!(serial.lat_jsonl_lines(), b.lat_jsonl_lines(), "batch={batch}");
             assert_eq!(serial.bw_jsonl_lines(), b.bw_jsonl_lines(), "batch={batch}");
         }
-        // And batching composes with set-sharding bit-for-bit: at a fixed
-        // shard width, the batch width must not show in any output.
-        let shardable = ExperimentMatrix::cross(
-            "batch-shards",
-            &[Design::Bumblebee],
-            &[SpecProfile::mcf()],
-            &RunConfig::tiny(),
-        );
-        let sharded = |batch| {
-            Engine::new(1)
-                .with_metrics(cfg)
-                .with_batch(batch)
-                .with_shards(Some(2))
-                .run(&shardable)
-                .unwrap()
-        };
-        let base = sharded(1);
-        let combo = sharded(64);
-        assert_eq!(base.jsonl_lines(), combo.jsonl_lines());
-        assert_eq!(base.lat_jsonl_lines(), combo.lat_jsonl_lines());
-        assert_eq!(base.bw_jsonl_lines(), combo.bw_jsonl_lines());
+        // And batching composes with set-sharding bit-for-bit: neither
+        // width shows in any output.
+        let sharded =
+            Engine::new(1).with_metrics(cfg).with_batch(64).with_shards(Some(2)).run(&m).unwrap();
+        assert_eq!(serial.jsonl_lines(), sharded.jsonl_lines());
+        assert_eq!(serial.lat_jsonl_lines(), sharded.lat_jsonl_lines());
+        assert_eq!(serial.bw_jsonl_lines(), sharded.bw_jsonl_lines());
     }
 
     fn metrics_matrix() -> ExperimentMatrix {
@@ -1130,7 +1097,8 @@ mod tests {
 
     #[test]
     fn sharded_engine_output_is_byte_identical_at_any_shard_count() {
-        // A shardable-only matrix: every cell takes the sharded pipeline.
+        // A shardable-only matrix: every cell plans on set-range workers
+        // and must reproduce the serial run.
         let profiles = [SpecProfile::mcf()];
         let m = ExperimentMatrix::cross(
             "shards",
@@ -1144,10 +1112,10 @@ mod tests {
             sample_rate: 16,
             ..MetricsConfig::default()
         };
-        let one = Engine::new(2).with_metrics(cfg).with_shards(Some(1)).run(&m).unwrap();
+        let one = Engine::new(2).with_metrics(cfg).run(&m).unwrap();
         assert!(!one.lat_jsonl_lines().is_empty());
         assert!(!one.bw_jsonl_lines().is_empty());
-        for shards in [2usize, 8] {
+        for shards in [1usize, 2, 8] {
             let n = Engine::new(2).with_metrics(cfg).with_shards(Some(shards)).run(&m).unwrap();
             assert_eq!(one.jsonl_lines(), n.jsonl_lines(), "{shards} shards");
             assert_eq!(one.epochs_jsonl_lines(), n.epochs_jsonl_lines(), "{shards} shards");
@@ -1155,7 +1123,7 @@ mod tests {
             assert_eq!(one.lat_jsonl_lines(), n.lat_jsonl_lines(), "{shards} shards");
             assert_eq!(one.bw_jsonl_lines(), n.bw_jsonl_lines(), "{shards} shards");
         }
-        // Non-shardable designs fall back to the serial pipeline untouched.
+        // Baselines keep their lookup on the cell's thread.
         let mixed = ExperimentMatrix::cross(
             "fallback",
             &[Design::NoHbm, Design::Alloy],

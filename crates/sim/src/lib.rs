@@ -10,6 +10,8 @@
 //!   ablations).
 //! * [`run`] — [`RunConfig`] (geometry scale, SRAM budget, access volume)
 //!   and [`run_design`], the single-run entry point.
+//! * [`shard`] — [`run_design_sharded`], the same run with its lookup
+//!   stage split over set-range worker threads (`--shards`).
 //! * [`matrix`] — [`ExperimentMatrix`], the declarative list of
 //!   `(Design, SpecProfile, RunConfig)` cells a figure evaluates, with
 //!   deterministic per-cell seeds.
@@ -53,7 +55,7 @@ pub use matrix::{cell_seed, Cell, ExperimentMatrix};
 pub use memsim_obs::{MetricsConfig, SpanTree};
 pub use report::SimReport;
 pub use run::{
-    geomean, geomean_diag, run_design, run_design_batched, run_design_with, run_reference,
+    geomean, geomean_diag, run_design, run_design_batched, run_reference,
     Geomean, RunConfig, RunObservations,
 };
 pub use shard::{run_design_sharded, ShardPlan};

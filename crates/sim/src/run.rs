@@ -1,16 +1,26 @@
-//! Run configuration and the single-run entry point.
+//! Run configuration and the single-run loop.
+//!
+//! Every run goes through one staged pipeline: the calling thread
+//! generates a chunk of accesses, a lookup stage plans it, and the
+//! [`System`] services the plans in stream order against the one shared
+//! HBM/DDR4 device pair ([`System::service`]). The lookup stage is either
+//! the cell's controller on the calling thread (`run_controller`) or,
+//! under `--shards`, set-range controllers on worker threads
+//! ([`run_design_sharded`](crate::shard::run_design_sharded)); both plan
+//! exactly the same operations.
 
 use crate::designs::{AnyController, Design};
+use crate::engine::DEFAULT_BATCH;
 use crate::report::SimReport;
-use crate::system::{SimParams, StepProbe, System, SystemCounters};
+use crate::system::{SimParams, System, SystemCounters};
 use memsim_obs::span::{self, Phase};
 use memsim_obs::{
-    sampled, AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, LatRing, MetricsConfig,
-    RunRecorder, TimedEvent, TrafficAccum,
+    AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, LatRing, MetricsConfig, RunRecorder,
+    TimedEvent, TrafficAccum,
 };
 use memsim_trace::{SpecProfile, Workload};
 use memsim_types::{
-    Access, AccessBatch, Geometry, GeometryError, HybridMemoryController, PlanBuffer,
+    AccessBatch, CtrlStats, Geometry, GeometryError, HybridMemoryController, PlanBuffer,
 };
 
 /// Scale, geometry, SRAM budget and access volume of one experiment.
@@ -150,93 +160,19 @@ pub fn run_design(
     cfg: &RunConfig,
     profile: &SpecProfile,
 ) -> Result<SimReport, GeometryError> {
-    run_design_with(design, cfg, profile, None).map(|(report, _)| report)
+    run_design_batched(design, cfg, profile, None, DEFAULT_BATCH).map(|(report, _)| report)
 }
 
-/// Like [`run_design`], but installs a [`RunRecorder`] when `metrics` is
-/// given and returns the harvested [`RunObservations`] alongside the
-/// report. The recorder counts from access 0, so warm-up epochs appear in
-/// the time-series (useful: that is where the cache fills).
-///
-/// # Errors
-///
-/// See [`run_design`].
-pub fn run_design_with(
-    design: Design,
-    cfg: &RunConfig,
-    profile: &SpecProfile,
-    metrics: Option<&MetricsConfig>,
-) -> Result<(SimReport, Option<RunObservations>), GeometryError> {
-    // Root span of the whole cell: everything below nests under it, so the
-    // collected tree's self times sum to (nearly all of) the cell's wall
-    // time. Inert unless a `span` profiling session is active.
-    let _cell = span::span(Phase::Cell);
-    let mut controller = design.build(cfg.geometry, cfg.sram_budget);
-    if let Some(m) = metrics {
-        controller.install_recorder(Box::new(RunRecorder::new(m)));
-    }
-    let mut system = System::new(controller, &cfg.geometry, cfg.params, design.uses_hbm());
-    if metrics.is_some() {
-        system.enable_traffic_accounting();
-    }
-    let mut workload = cfg.workload(profile);
-    let sample_rate = metrics.map_or(0, |m| m.sample_rate);
-    let mut lat_ring = metrics
-        .filter(|m| m.sample_rate > 0)
-        .map(|m| LatRing::new(m.record_capacity));
-    // Epoch-boundary bandwidth snapshots: boundary B captures the state
-    // after accesses 0..B — the same discipline as the sharded path's
-    // boundary catch-up, so the two series line up epoch for epoch.
-    let interval = metrics.map_or(0, |m| m.epoch_interval);
-    let mut next_boundary = if interval > 0 { interval } else { u64::MAX };
-    let mut bw_points: Vec<BwPoint> = Vec::new();
-
-    // Warm-up: run, then reset instruction/cycle accounting by snapshotting.
-    // `seq` is the 0-based global access index — the same timeline the
-    // sharded path's ShardStream produces, so the sampler selects
-    // identical accesses in both modes.
-    let mut seq: u64 = 0;
-    for _ in 0..cfg.warmup {
-        while next_boundary <= seq {
-            bw_points.push(system.bw_point());
-            next_boundary += interval;
-        }
-        let access = {
-            let _gen = span::span(Phase::TraceGen);
-            workload.next_access()
-        };
-        step_sampled(&mut system, lat_ring.as_mut(), sample_rate, seq, access);
-        seq += 1;
-    }
-    let warm_cycles = system.now();
-    let warm = *system.counters();
-    for _ in 0..cfg.accesses {
-        while next_boundary <= seq {
-            bw_points.push(system.bw_point());
-            next_boundary += interval;
-        }
-        let access = {
-            let _gen = span::span(Phase::TraceGen);
-            workload.next_access()
-        };
-        step_sampled(&mut system, lat_ring.as_mut(), sample_rate, seq, access);
-        seq += 1;
-    }
-    while next_boundary <= seq {
-        bw_points.push(system.bw_point());
-        next_boundary += interval;
-    }
-    Ok(harvest(system, design, cfg, profile, warm, warm_cycles, lat_ring, sample_rate, bw_points))
-}
-
-/// Like [`run_design_with`], but drives the staged batch pipeline:
-/// the workload generates chunks of up to `batch` accesses straight into
-/// a flat [`AccessBatch`], the controller plans each whole chunk
-/// ([`HybridMemoryController::access_batch`]) and the system services the
-/// sealed plans in stream order ([`System::step_batch`]). Chunks are cut
-/// at epoch boundaries and the warm-up snapshot point, so cycles and
-/// every JSONL stream are byte-identical to the serial path at any
+/// Like [`run_design`], in chunks of up to `batch` accesses, installing
+/// a [`RunRecorder`] when `metrics` is given and returning the harvested
+/// [`RunObservations`] alongside the report. The recorder counts from
+/// access 0, so warm-up epochs appear in the time-series (useful: that is
+/// where the cache fills). Chunks are cut at epoch boundaries and the
+/// warm-up snapshot point, so every output is byte-identical at any
 /// `batch ≥ 1` (enforced by `tests/batch_differential.rs`).
+///
+/// The one-range case of
+/// [`run_design_sharded`](crate::shard::run_design_sharded).
 ///
 /// # Errors
 ///
@@ -248,8 +184,26 @@ pub fn run_design_batched(
     metrics: Option<&MetricsConfig>,
     batch: usize,
 ) -> Result<(SimReport, Option<RunObservations>), GeometryError> {
+    crate::shard::run_design_sharded(design, cfg, profile, metrics, 1, batch)
+}
+
+/// Runs an already-built `controller` of `design` (label and HBM use)
+/// through the pipeline with the lookup stage on the calling thread:
+/// the workload generates each chunk straight into a flat
+/// [`AccessBatch`], and [`System::step_batch`] plans and services it.
+///
+/// # Errors
+///
+/// See [`run_design`].
+pub(crate) fn run_controller(
+    design: Design,
+    mut controller: AnyController,
+    cfg: &RunConfig,
+    profile: &SpecProfile,
+    metrics: Option<&MetricsConfig>,
+    batch: usize,
+) -> Result<(SimReport, Option<RunObservations>), GeometryError> {
     let _cell = span::span(Phase::Cell);
-    let mut controller = design.build(cfg.geometry, cfg.sram_budget);
     if let Some(m) = metrics {
         controller.install_recorder(Box::new(RunRecorder::new(m)));
     }
@@ -257,112 +211,179 @@ pub fn run_design_batched(
     if metrics.is_some() {
         system.enable_traffic_accounting();
     }
+    let mut timeline = Timeline::new(cfg, metrics, batch);
+    let mut lat_ring = timeline.lat_ring();
     let mut workload = cfg.workload(profile);
-    let sample_rate = metrics.map_or(0, |m| m.sample_rate);
-    let mut lat_ring = metrics
-        .filter(|m| m.sample_rate > 0)
-        .map(|m| LatRing::new(m.record_capacity));
-    let interval = metrics.map_or(0, |m| m.epoch_interval);
-    let mut next_boundary = if interval > 0 { interval } else { u64::MAX };
-    let mut bw_points: Vec<BwPoint> = Vec::new();
-
-    let total = cfg.warmup + cfg.accesses;
-    let width = batch.max(1) as u64;
     let mut soa = AccessBatch::with_capacity(batch.max(1));
     let mut plans = PlanBuffer::new();
-    let mut warm: Option<(SystemCounters, u64)> = None;
     let mut seq = 0u64;
-    while seq < total {
-        // Boundary catch-up and the warm snapshot happen only between
-        // chunks: the chunk cut below guarantees neither point ever falls
-        // strictly inside one.
-        while next_boundary <= seq {
-            bw_points.push(system.bw_point());
-            next_boundary += interval;
-        }
-        if warm.is_none() && seq >= cfg.warmup {
-            warm = Some((*system.counters(), system.now()));
-        }
-        let mut end = (seq + width).min(total).min(next_boundary);
-        if seq < cfg.warmup {
-            end = end.min(cfg.warmup);
-        }
+    while seq < timeline.cuts.total {
+        timeline.before_chunk(seq, &system);
+        let end = timeline.cuts.chunk_end(seq);
         {
             let _gen = span::span(Phase::TraceGen);
             workload.fill_batch(&mut soa, (end - seq) as usize);
         }
-        system.step_batch(&soa, &mut plans, seq, lat_ring.as_mut(), sample_rate);
+        system.step_batch(&soa, &mut plans, seq, lat_ring.as_mut(), timeline.sample_rate);
         seq = end;
     }
-    while next_boundary <= seq {
-        bw_points.push(system.bw_point());
-        next_boundary += interval;
-    }
-    let (warm_counters, warm_cycles) =
-        warm.unwrap_or_else(|| (*system.counters(), system.now()));
-    Ok(harvest(
-        system,
-        design,
-        cfg,
-        profile,
-        warm_counters,
-        warm_cycles,
-        lat_ring,
-        sample_rate,
-        bw_points,
-    ))
+    timeline.before_chunk(seq, &system);
+    system.finish();
+    let controller = system.controller_mut();
+    let lookup = LookupSummary {
+        recorded: controller.take_recorder().and_then(|rec| Some(rec.into_run()?.into_parts())),
+        overfetch: controller.overfetch_ratio(),
+        metadata_bytes: controller.metadata_bytes(),
+        os_visible_bytes: controller.os_visible_bytes(),
+        mode_switch_bytes: controller.mode_switch_bytes(),
+        page_faults: controller.page_faults(),
+        stats: controller.stats().clone(),
+    };
+    Ok(harvest(&mut system, design, cfg, profile, timeline, lat_ring, lookup))
 }
 
-// End-of-run harvest shared by the serial and batched drivers: measured
-// deltas against the warm snapshot, controller drain, observability
-// assembly and the report. Factored out so the two paths cannot drift.
-#[allow(clippy::too_many_arguments)]
-fn harvest(
-    mut system: System<AnyController>,
+/// Where one run's chunks are cut: at most the batch width, and never
+/// across an epoch boundary or (during warm-up) the warm-up point, so the
+/// observations taken at those points fall between chunks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cuts {
+    /// Accesses in the run, warm-up included.
+    pub(crate) total: u64,
+    warmup: u64,
+    width: u64,
+    /// Epoch length in accesses (0: no epochs).
+    interval: u64,
+}
+
+impl Cuts {
+    /// End of the chunk starting at `seq`.
+    pub(crate) fn chunk_end(&self, seq: u64) -> u64 {
+        let mut end = (seq + self.width).min(self.total);
+        if let Some(epoch) = seq.checked_div(self.interval) {
+            end = end.min((epoch + 1) * self.interval);
+        }
+        if seq < self.warmup {
+            end = end.min(self.warmup);
+        }
+        end
+    }
+
+    /// Whether the chunk ending at `end` closes an epoch.
+    pub(crate) fn is_boundary(&self, end: u64) -> bool {
+        self.interval > 0 && end.is_multiple_of(self.interval)
+    }
+}
+
+/// The chunk cuts of one run and the observations taken between chunks:
+/// epoch-boundary bandwidth snapshots and the warm-up snapshot.
+#[derive(Debug)]
+pub(crate) struct Timeline {
+    pub(crate) cuts: Cuts,
+    /// Latency-sampling rate (0: off).
+    pub(crate) sample_rate: u64,
+    record_capacity: usize,
+    next_boundary: u64,
+    warm: Option<(SystemCounters, u64)>,
+    bw_points: Vec<BwPoint>,
+}
+
+impl Timeline {
+    pub(crate) fn new(cfg: &RunConfig, metrics: Option<&MetricsConfig>, batch: usize) -> Timeline {
+        let interval = metrics.map_or(0, |m| m.epoch_interval);
+        Timeline {
+            cuts: Cuts {
+                total: cfg.warmup + cfg.accesses,
+                warmup: cfg.warmup,
+                width: batch.max(1) as u64,
+                interval,
+            },
+            sample_rate: metrics.map_or(0, |m| m.sample_rate),
+            record_capacity: metrics.map_or(0, |m| m.record_capacity),
+            next_boundary: if interval > 0 { interval } else { u64::MAX },
+            warm: None,
+            bw_points: Vec::new(),
+        }
+    }
+
+    /// The ring sampled latency records go to, when sampling is on.
+    pub(crate) fn lat_ring(&self) -> Option<LatRing> {
+        (self.sample_rate > 0).then(|| LatRing::new(self.record_capacity))
+    }
+
+    /// Takes the observations due before the chunk starting at `seq`, or
+    /// at the end of the stream: boundary `B` captures the state after
+    /// accesses `0..B`.
+    pub(crate) fn before_chunk<C>(&mut self, seq: u64, system: &System<C>) {
+        while self.next_boundary <= seq {
+            self.bw_points.push(system.bw_point());
+            self.next_boundary += self.cuts.interval;
+        }
+        if self.warm.is_none() && seq >= self.cuts.warmup {
+            self.warm = Some((*system.counters(), system.now()));
+        }
+    }
+}
+
+/// What the report needs from the lookup stage once it has drained.
+#[derive(Debug)]
+pub(crate) struct LookupSummary {
+    /// `(epochs, events, dropped events)`, when a recorder was installed.
+    pub(crate) recorded: Option<(Vec<EpochSnapshot>, Vec<TimedEvent>, u64)>,
+    pub(crate) stats: CtrlStats,
+    pub(crate) overfetch: Option<f64>,
+    pub(crate) metadata_bytes: u64,
+    pub(crate) os_visible_bytes: u64,
+    pub(crate) mode_switch_bytes: Option<u64>,
+    pub(crate) page_faults: Option<u64>,
+}
+
+// End-of-run harvest shared by both lookup stages: measured deltas
+// against the warm snapshot, observability assembly and the report. The
+// timeline must have taken its observations at the end of the stream, and
+// the system's drain must have run after them.
+pub(crate) fn harvest<C>(
+    system: &mut System<C>,
     design: Design,
     cfg: &RunConfig,
     profile: &SpecProfile,
-    warm: SystemCounters,
-    warm_cycles: u64,
-    mut lat_ring: Option<LatRing>,
-    sample_rate: u64,
-    bw_points: Vec<BwPoint>,
+    timeline: Timeline,
+    lat_ring: Option<LatRing>,
+    lookup: LookupSummary,
 ) -> (SimReport, Option<RunObservations>) {
+    let (warm, warm_cycles) = timeline.warm.unwrap_or((*system.counters(), system.now()));
     let instructions = system.counters().instructions - warm.instructions;
     let cycles = system.now() - warm_cycles;
     let mal_cycles = system.counters().mal_cycles - warm.mal_cycles;
     let stall_cycles = system.counters().stall_cycles - warm.stall_cycles;
-    let (hbm, dram) = system.finish();
-    let (hbm_counters, dram_counters) = (*hbm.counters(), *dram.counters());
-    let (hbm_hist, dram_hist) = (hbm.histograms().clone(), dram.histograms().clone());
+    let (hbm_counters, dram_counters) = (*system.hbm().counters(), *system.dram().counters());
+    let hbm_hist: DeviceHistograms = system.hbm().histograms().clone();
+    let dram_hist: DeviceHistograms = system.dram().histograms().clone();
     let path_counts = *system.path_counts();
     let traffic = system.take_traffic();
 
-    let observations = system.controller_mut().take_recorder().and_then(|rec| {
-        let (epochs, events, dropped_events) = rec.into_run()?.into_parts();
-        let (records, dropped_records) = match lat_ring.take() {
+    let observations = lookup.recorded.map(|(epochs, events, dropped_events)| {
+        let (records, dropped_records): (Vec<AccessRecord>, u64) = match lat_ring {
             Some(ring) => {
                 let dropped = ring.dropped();
                 (ring.into_vec(), dropped)
             }
             None => (Vec::new(), 0),
         };
-        Some(RunObservations {
+        RunObservations {
             epochs,
             events,
             dropped_events,
             records,
             dropped_records,
-            sample_rate,
+            sample_rate: timeline.sample_rate,
             path_counts,
             hbm: hbm_hist,
             dram: dram_hist,
             traffic: traffic.expect("metrics on, so traffic accounting was enabled"),
-            bw_points,
-        })
+            bw_points: timeline.bw_points,
+        }
     });
 
-    let controller = system.controller();
     let report = SimReport {
         design: design.label().to_string(),
         workload: profile.name.to_string(),
@@ -376,45 +397,14 @@ fn harvest(
         background_energy_pj: system.background_energy_pj(),
         mal_cycles,
         stall_cycles,
-        overfetch: controller.overfetch_ratio(),
-        metadata_bytes: controller.metadata_bytes(),
-        os_visible_bytes: controller.os_visible_bytes(),
-        mode_switch_bytes: controller.mode_switch_bytes(),
-        page_faults: controller.page_faults(),
-        stats: controller.stats().clone(),
+        overfetch: lookup.overfetch,
+        metadata_bytes: lookup.metadata_bytes,
+        os_visible_bytes: lookup.os_visible_bytes,
+        mode_switch_bytes: lookup.mode_switch_bytes,
+        page_faults: lookup.page_faults,
+        stats: lookup.stats,
     };
     (report, observations)
-}
-
-/// Advances the system by one access, recording a latency record when the
-/// deterministic sampler selects global index `seq`. With sampling off
-/// (`ring` = `None`) this is exactly [`System::step`].
-// audit: hot-path
-fn step_sampled<C: HybridMemoryController>(
-    system: &mut System<C>,
-    ring: Option<&mut LatRing>,
-    rate: u64,
-    seq: u64,
-    access: Access,
-) {
-    match ring {
-        Some(ring) if sampled(seq, rate) => {
-            let mut p = StepProbe::default();
-            system.step_probed(access, Some(&mut p));
-            ring.push(AccessRecord {
-                seq,
-                path: p.path,
-                lookup: p.lookup,
-                queue: p.queue,
-                service: p.service,
-                stall: p.stall,
-                total: p.total,
-            });
-        }
-        _ => {
-            system.step(access);
-        }
-    }
 }
 
 /// Runs the no-HBM reference on `profile` (the normalization denominator).
@@ -534,7 +524,7 @@ mod tests {
         let metrics =
             MetricsConfig { epoch_interval: 1000, event_capacity: 128, ..MetricsConfig::default() };
         let (report, obs) =
-            run_design_with(Design::Bumblebee, &cfg, &SpecProfile::mcf(), Some(&metrics)).unwrap();
+            run_design_batched(Design::Bumblebee, &cfg, &SpecProfile::mcf(), Some(&metrics), 64).unwrap();
         let obs = obs.expect("metrics requested");
         // Epochs cover warm-up + measured accesses.
         assert_eq!(obs.epochs.len() as u64, (cfg.warmup + cfg.accesses) / 1000);
@@ -550,7 +540,7 @@ mod tests {
         assert_eq!(report.hbm_bytes, plain.hbm_bytes);
         // And without metrics there is nothing to harvest.
         let (_, none) =
-            run_design_with(Design::Bumblebee, &cfg, &SpecProfile::mcf(), None).unwrap();
+            run_design_batched(Design::Bumblebee, &cfg, &SpecProfile::mcf(), None, 64).unwrap();
         assert!(none.is_none());
     }
 
@@ -564,7 +554,7 @@ mod tests {
             record_capacity: 65536,
         };
         let (report, obs) =
-            run_design_with(Design::Bumblebee, &cfg, &SpecProfile::mcf(), Some(&metrics)).unwrap();
+            run_design_batched(Design::Bumblebee, &cfg, &SpecProfile::mcf(), Some(&metrics), 64).unwrap();
         let obs = obs.expect("metrics requested");
         assert_eq!(obs.sample_rate, 64);
         assert!(!obs.records.is_empty(), "rate 64 over 24k accesses must sample");

@@ -5,32 +5,9 @@ use memsim_dram::{presets, DramDevice};
 use memsim_obs::span::{self, Phase};
 use memsim_obs::{sampled, AccessRecord, BwPoint, LatRing, TrafficAccum};
 use memsim_types::{
-    Access, AccessBatch, AccessKind, AccessPath, AccessPlan, Geometry, HybridMemoryController,
-    Mem, PlanBuffer, TrafficCause,
+    Access, AccessBatch, AccessKind, AccessPlan, Geometry, HybridMemoryController, Mem,
+    PlanBuffer, TrafficCause,
 };
-
-/// Cycle-domain decomposition of one access, filled by
-/// [`System::step_probed`] for sampled request tracing.
-///
-/// The components partition the charged time exactly:
-/// `lookup + queue + service` equals the raw critical-path latency and
-/// `total` adds the non-device `stall`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepProbe {
-    /// Serve-path classification the controller put on the plan.
-    pub path: AccessPath,
-    /// Metadata cycles: SRAM lookup plus the full device time of
-    /// `TrafficCause::Metadata` critical ops.
-    pub lookup: u64,
-    /// Channel bus-queue wait of the non-metadata critical ops.
-    pub queue: u64,
-    /// Remaining device service time of the critical path.
-    pub service: u64,
-    /// Non-device stall cycles (OS page faults, swap penalties).
-    pub stall: u64,
-    /// `lookup + queue + service + stall`.
-    pub total: u64,
-}
 
 /// Core-side timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,13 +47,20 @@ pub struct SystemCounters {
 
 /// Executes [`AccessPlan`]s against the HBM2/DDR4 device models; see the
 /// [crate documentation](crate).
+///
+/// The controller `C` plans ([`step_batch`](Self::step_batch)); a
+/// `System<()>` services chunks some other lookup stage planned
+/// ([`service`](Self::service)), as `--shards` runs do.
 #[derive(Debug)]
 pub struct System<C> {
     controller: C,
     hbm: DramDevice,
     dram: DramDevice,
     params: SimParams,
+    /// Scratch of [`step`](Self::step) and [`finish`](Self::finish).
     plan: AccessPlan,
+    one: AccessBatch,
+    one_plan: PlanBuffer,
     now: u64,
     counters: SystemCounters,
     path_counts: [u64; 5],
@@ -84,7 +68,7 @@ pub struct System<C> {
     traffic: Option<Box<TrafficAccum>>,
 }
 
-impl<C: HybridMemoryController> System<C> {
+impl<C> System<C> {
     /// Builds a system around `controller` with Table I devices sized by
     /// `geometry`. `uses_hbm` excludes HBM background energy for the no-HBM
     /// reference.
@@ -95,6 +79,8 @@ impl<C: HybridMemoryController> System<C> {
             dram: DramDevice::new(presets::ddr4_3200(geometry.dram_bytes())),
             params,
             plan: AccessPlan::new(),
+            one: AccessBatch::with_capacity(1),
+            one_plan: PlanBuffer::new(),
             now: 0,
             counters: SystemCounters::default(),
             path_counts: [0; 5],
@@ -160,134 +146,39 @@ impl<C: HybridMemoryController> System<C> {
     }
 
     /// Full (unsampled) per-path access counts, indexed by
-    /// [`AccessPath::index`] — every access is counted, so these reconcile
-    /// exactly against the controller's hit/off-chip counters at any
-    /// sampling rate.
+    /// [`AccessPath::index`](memsim_types::AccessPath::index) — every
+    /// access is counted, so these reconcile exactly against the
+    /// controller's hit/off-chip counters at any sampling rate.
     pub fn path_counts(&self) -> &[u64; 5] {
         &self.path_counts
     }
 
-    /// Runs one LLC-miss access through the controller and the devices,
-    /// returning the exposed latency in cycles.
-    // audit: hot-path
-    pub fn step(&mut self, access: Access) -> u64 {
-        self.step_probed(access, None)
-    }
-
-    /// [`step`](Self::step) with an optional cycle-domain probe: when
-    /// `probe` is `Some`, the critical-path time is decomposed into
-    /// lookup / queue-wait / service / stall (the latency-attribution
-    /// record of a sampled access). With `None` the extra accounting
-    /// compiles down to dead branches on the hot path.
-    // audit: hot-path
-    pub fn step_probed(&mut self, access: Access, probe: Option<&mut StepProbe>) -> u64 {
-        self.plan.clear();
-        {
-            let _lookup = span::span(Phase::CtrlLookup);
-            self.controller.access(&access, &mut self.plan);
-        }
-        self.counters.accesses += 1;
-        self.counters.instructions += u64::from(access.insts);
-        self.path_counts[self.plan.path.index()] += 1;
-        if let Some(acc) = self.traffic.as_deref_mut() {
-            acc.record_plan(&self.plan);
-        }
-
-        let service = span::span(Phase::DramService);
-        // Critical path: metadata, then each op in order.
-        let mut t = self.now + u64::from(self.plan.metadata_cycles);
-        let mut mal = u64::from(self.plan.metadata_cycles);
-        // Bus-queue wait of non-metadata critical ops, measured only for
-        // sampled accesses by snapshotting the device's exact running
-        // queue-wait sum around each op (zero extra device state).
-        let mut queue = 0u64;
-        let probing = probe.is_some();
-        for i in 0..self.plan.critical.len() {
-            let op = self.plan.critical[i];
-            let start = t;
-            let q0 = if probing && op.cause != TrafficCause::Metadata {
-                self.device(op.mem).histograms().queue_wait.sum()
-            } else {
-                0
-            };
-            t = self.device(op.mem).access(op.addr, op.bytes, op.kind, t);
-            if op.cause == TrafficCause::Metadata {
-                mal += t - start;
-            } else if probing {
-                queue += self.device(op.mem).histograms().queue_wait.sum() - q0;
-            }
-        }
-        let raw_latency = t - self.now;
-        if let Some(p) = probe {
-            p.path = self.plan.path;
-            p.lookup = mal;
-            p.queue = queue;
-            p.service = raw_latency - mal - queue;
-            p.stall = self.plan.stall_cycles;
-            p.total = raw_latency + self.plan.stall_cycles;
-        }
-        // Background movement consumes bandwidth/energy but does not stall
-        // this request. It is issued at the current clock (not at the raw
-        // completion time): the clock advances by the MLP-overlapped
-        // exposed latency, so issuing background work further in the
-        // future would let device cursors drift unboundedly ahead of sim
-        // time and charge every later demand for queueing that never
-        // happens in a real (reordering, demand-first) memory controller.
-        let background_at = self.now;
-        for i in 0..self.plan.background.len() {
-            let op = self.plan.background[i];
-            self.device(op.mem).access(op.addr, op.bytes, op.kind, background_at);
-        }
-        drop(service);
-
-        // Core model: base CPI on the instruction gap plus the exposed
-        // (MLP-overlapped) miss latency plus OS stalls.
-        let compute =
-            (f64::from(access.insts) * self.params.cpi_base).ceil() as u64;
-        let exposed = if access.kind == AccessKind::Read {
-            (raw_latency as f64 / self.params.mlp).ceil() as u64
-        } else {
-            0
-        };
-        self.counters.demand_cycles += exposed;
-        self.counters.mal_cycles += mal;
-        self.counters.stall_cycles += self.plan.stall_cycles;
-        self.now += compute + exposed + self.plan.stall_cycles;
-        raw_latency
-    }
-
-    /// Runs one chunk of accesses through the staged batch pipeline:
-    /// the controller plans every access of `batch` into `plans`
-    /// (CtrlLookup), then each access is serviced against the devices in
-    /// strict stream order (DramService), with the same clock math,
-    /// counter updates, traffic recording and sampled-probe discipline as
-    /// calling [`step_probed`](Self::step_probed) per access — cycles and
-    /// every observability stream are byte-identical at any chunk width.
+    /// Services one planned chunk: entry `i` of `plans` is the plan of
+    /// access `i` of `batch`, and each is executed against the devices in
+    /// strict stream order. This is the simulator's one service loop.
     ///
     /// `base_seq` is the global index of `batch`'s first access; the
-    /// deterministic sampler records into `ring` at `rate` exactly as the
-    /// serial driver's sampling wrapper does. The caller must cut chunks
-    /// so no epoch boundary or warm-up snapshot point falls strictly
-    /// inside one (the per-chunk plan staging would otherwise reorder
-    /// controller work across the snapshot).
+    /// deterministic sampler records the cycle-domain decomposition of
+    /// the selected accesses (metadata lookup, bus-queue wait, service,
+    /// stall) into `ring` at `rate`. Returns the raw critical-path latency
+    /// of the chunk's last access.
     ///
-    /// Staging is legal because the controller never reads the clock or
-    /// the devices, and servicing access `i` never mutates controller
-    /// state — see DESIGN.md §11 for the full argument.
+    /// Planning a whole chunk before servicing it is legal because the
+    /// controller never reads the clock or the devices, and servicing
+    /// never mutates controller state — see DESIGN.md §11. The caller
+    /// must cut chunks so no epoch boundary or warm-up snapshot point
+    /// falls strictly inside one.
     // audit: hot-path
-    pub fn step_batch(
+    pub fn service(
         &mut self,
         batch: &AccessBatch,
-        plans: &mut PlanBuffer,
+        plans: &PlanBuffer,
         base_seq: u64,
         mut ring: Option<&mut LatRing>,
         rate: u64,
-    ) {
-        {
-            let _lookup = span::span(Phase::CtrlLookup);
-            self.controller.access_batch(batch, plans);
-        }
-        let service = span::span(Phase::DramService);
+    ) -> u64 {
+        let _service = span::span(Phase::DramService);
+        let mut raw_latency = 0;
         for i in 0..batch.len() {
             let view = plans.entry(i);
             self.counters.accesses += 1;
@@ -298,8 +189,12 @@ impl<C: HybridMemoryController> System<C> {
             }
             let seq = base_seq + i as u64;
             let probing = ring.is_some() && sampled(seq, rate);
+            // Critical path: metadata, then each op in order.
             let mut t = self.now + u64::from(view.metadata_cycles);
             let mut mal = u64::from(view.metadata_cycles);
+            // Bus-queue wait of non-metadata critical ops, measured only
+            // for sampled accesses by snapshotting the device's exact
+            // running queue-wait sum around each op.
             let mut queue = 0u64;
             for k in 0..view.critical.len() {
                 let op = view.critical[k];
@@ -316,7 +211,7 @@ impl<C: HybridMemoryController> System<C> {
                     queue += self.device(op.mem).histograms().queue_wait.sum() - q0;
                 }
             }
-            let raw_latency = t - self.now;
+            raw_latency = t - self.now;
             if probing {
                 if let Some(r) = ring.as_deref_mut() {
                     r.push(AccessRecord {
@@ -330,11 +225,21 @@ impl<C: HybridMemoryController> System<C> {
                     });
                 }
             }
+            // Background movement consumes bandwidth/energy but does not
+            // stall this request. It is issued at the current clock (not
+            // at the raw completion time): the clock advances by the
+            // MLP-overlapped exposed latency, so issuing background work
+            // further in the future would let device cursors drift
+            // unboundedly ahead of sim time and charge every later demand
+            // for queueing that never happens in a real (reordering,
+            // demand-first) memory controller.
             let background_at = self.now;
             for k in 0..view.background.len() {
                 let op = view.background[k];
                 self.device(op.mem).access(op.addr, op.bytes, op.kind, background_at);
             }
+            // Core model: base CPI on the instruction gap plus the exposed
+            // (MLP-overlapped) miss latency plus OS stalls.
             let compute = (f64::from(batch.insts[i]) * self.params.cpi_base).ceil() as u64;
             let exposed = if batch.kinds[i] == AccessKind::Read {
                 (raw_latency as f64 / self.params.mlp).ceil() as u64
@@ -346,7 +251,19 @@ impl<C: HybridMemoryController> System<C> {
             self.counters.stall_cycles += view.stall_cycles;
             self.now += compute + exposed + view.stall_cycles;
         }
-        drop(service);
+        raw_latency
+    }
+
+    /// Issues an end-of-run drain plan's background ops at the current
+    /// clock.
+    pub(crate) fn drain(&mut self, plan: &AccessPlan) {
+        if let Some(acc) = self.traffic.as_deref_mut() {
+            acc.record_drain(plan);
+        }
+        let t = self.now;
+        for op in &plan.background {
+            self.device(op.mem).access(op.addr, op.bytes, op.kind, t);
+        }
     }
 
     // audit: hot-path
@@ -355,22 +272,6 @@ impl<C: HybridMemoryController> System<C> {
             Mem::Hbm => &mut self.hbm,
             Mem::OffChip => &mut self.dram,
         }
-    }
-
-    /// Finalizes the run (controller drain) and returns
-    /// `(hbm, dram)` device references for reporting.
-    pub fn finish(&mut self) -> (&DramDevice, &DramDevice) {
-        self.plan.clear();
-        self.controller.finish(&mut self.plan);
-        if let Some(acc) = self.traffic.as_deref_mut() {
-            acc.record_drain(&self.plan);
-        }
-        let t = self.now;
-        for i in 0..self.plan.background.len() {
-            let op = self.plan.background[i];
-            self.device(op.mem).access(op.addr, op.bytes, op.kind, t);
-        }
-        (&self.hbm, &self.dram)
     }
 
     /// Memory dynamic energy in pJ (both devices).
@@ -393,6 +294,66 @@ impl<C: HybridMemoryController> System<C> {
     /// Off-chip device counters.
     pub fn dram(&self) -> &DramDevice {
         &self.dram
+    }
+}
+
+impl<C: HybridMemoryController> System<C> {
+    /// Runs one LLC-miss access through the controller and the devices
+    /// (a one-access [`step_batch`](Self::step_batch)), returning its raw
+    /// critical-path latency in cycles.
+    pub fn step(&mut self, access: Access) -> u64 {
+        let mut one = std::mem::take(&mut self.one);
+        let mut plans = std::mem::take(&mut self.one_plan);
+        one.clear();
+        one.push(access.addr.0, access.kind, access.insts);
+        let raw = self.plan_and_service(&one, &mut plans, self.counters.accesses, None, 0);
+        self.one = one;
+        self.one_plan = plans;
+        raw
+    }
+
+    /// Runs one chunk of accesses through the staged pipeline: the
+    /// controller plans every access of `batch` into `plans`
+    /// (CtrlLookup), then [`service`](Self::service) executes them in
+    /// strict stream order (DramService) — cycles and every observability
+    /// stream are byte-identical at any chunk width.
+    // audit: hot-path
+    pub fn step_batch(
+        &mut self,
+        batch: &AccessBatch,
+        plans: &mut PlanBuffer,
+        base_seq: u64,
+        ring: Option<&mut LatRing>,
+        rate: u64,
+    ) {
+        self.plan_and_service(batch, plans, base_seq, ring, rate);
+    }
+
+    // audit: hot-path
+    fn plan_and_service(
+        &mut self,
+        batch: &AccessBatch,
+        plans: &mut PlanBuffer,
+        base_seq: u64,
+        ring: Option<&mut LatRing>,
+        rate: u64,
+    ) -> u64 {
+        {
+            let _lookup = span::span(Phase::CtrlLookup);
+            self.controller.access_batch(batch, plans);
+        }
+        self.service(batch, plans, base_seq, ring, rate)
+    }
+
+    /// Finalizes the run (controller drain) and returns
+    /// `(hbm, dram)` device references for reporting.
+    pub fn finish(&mut self) -> (&DramDevice, &DramDevice) {
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.clear();
+        self.controller.finish(&mut plan);
+        self.drain(&plan);
+        self.plan = plan;
+        (&self.hbm, &self.dram)
     }
 }
 
@@ -468,14 +429,41 @@ mod tests {
         assert!(s.background_energy_pj() > 0.0);
     }
 
+    /// Drives `accesses` through `s` in chunks of `width`, sampling every
+    /// `rate`-th access into the returned ring.
+    fn drive(s: &mut System<BumblebeeController>, accesses: &[Access], width: usize, rate: u64) -> LatRing {
+        let mut ring = LatRing::new(1024);
+        let mut plans = PlanBuffer::new();
+        let mut batch = AccessBatch::new();
+        let mut base = 0usize;
+        for chunk in accesses.chunks(width) {
+            batch.clear();
+            for a in chunk {
+                batch.push(a.addr.0, a.kind, a.insts);
+            }
+            s.step_batch(&batch, &mut plans, base as u64, Some(&mut ring), rate);
+            base += chunk.len();
+        }
+        ring
+    }
+
+    fn stream() -> Vec<Access> {
+        (0..500u64)
+            .map(|i| Access {
+                addr: Addr(((i * 37) % 300) * 64),
+                kind: if i % 5 == 0 { AccessKind::Write } else { AccessKind::Read },
+                insts: (i % 40) as u32,
+            })
+            .collect()
+    }
+
     #[test]
-    fn probe_decomposition_is_exact_and_paths_reconcile() {
+    fn sampled_decomposition_is_exact_and_paths_reconcile() {
         let mut s = system();
-        for i in 0..200u64 {
-            let mut p = StepProbe::default();
-            let raw = s.step_probed(Access::read(Addr((i % 40) * 64)), Some(&mut p));
-            assert_eq!(p.lookup + p.queue + p.service, raw, "decomposition partitions raw");
-            assert_eq!(p.total, raw + p.stall);
+        let records = drive(&mut s, &stream(), 64, 1).into_vec();
+        assert_eq!(records.len(), 500, "rate 1 samples every access");
+        for r in &records {
+            assert_eq!(r.lookup + r.queue + r.service + r.stall, r.total);
         }
         assert_eq!(s.path_counts().iter().sum::<u64>(), s.counters().accesses);
         let st = s.controller().stats().clone();
@@ -487,70 +475,49 @@ mod tests {
     }
 
     #[test]
-    fn probed_and_plain_steps_agree() {
-        let mut a = system();
-        let mut b = system();
-        for i in 0..50u64 {
-            let addr = Addr((i % 16) * 4096);
-            let mut p = StepProbe::default();
-            assert_eq!(a.step(Access::read(addr)), b.step_probed(Access::read(addr), Some(&mut p)));
-        }
-        assert_eq!(a.now(), b.now(), "probing never perturbs the clock");
+    fn sampling_never_perturbs_the_clock() {
+        let (mut a, mut b) = (system(), system());
+        drive(&mut a, &stream(), 64, 1);
+        drive(&mut b, &stream(), 64, 0);
+        assert_eq!(a.now(), b.now());
+        assert_eq!(a.counters(), b.counters());
     }
 
     #[test]
     fn step_batch_matches_per_access_stepping() {
         let mut serial = system();
+        let mut single = system();
         let mut batched = system();
         serial.enable_traffic_accounting();
         batched.enable_traffic_accounting();
-        let accesses: Vec<Access> = (0..500u64)
-            .map(|i| Access {
-                addr: Addr(((i * 37) % 300) * 64),
-                kind: if i % 5 == 0 { AccessKind::Write } else { AccessKind::Read },
-                insts: (i % 40) as u32,
-            })
-            .collect();
-        // Serial reference replicating the driver's sampling wrapper.
-        let rate = 8u64;
-        let mut ring_s = LatRing::new(1024);
-        for (seq, a) in accesses.iter().enumerate() {
-            if sampled(seq as u64, rate) {
-                let mut p = StepProbe::default();
-                serial.step_probed(*a, Some(&mut p));
-                ring_s.push(AccessRecord {
-                    seq: seq as u64,
-                    path: p.path,
-                    lookup: p.lookup,
-                    queue: p.queue,
-                    service: p.service,
-                    stall: p.stall,
-                    total: p.total,
-                });
-            } else {
-                serial.step(*a);
-            }
+        let accesses = stream();
+        for a in &accesses {
+            serial.step(*a);
         }
-        // Batched in awkward chunk widths (ends mid-stream, width 1 tail).
-        let mut ring_b = LatRing::new(1024);
-        let mut plans = PlanBuffer::new();
-        let mut batch = AccessBatch::new();
-        let mut base = 0usize;
-        for chunk in accesses.chunks(13) {
-            batch.clear();
-            for a in chunk {
-                batch.push(a.addr.0, a.kind, a.insts);
-            }
-            batched.step_batch(&batch, &mut plans, base as u64, Some(&mut ring_b), rate);
-            base += chunk.len();
-        }
+        // Awkward chunk widths (ends mid-stream, width-1 tail) against
+        // one-access chunks, both sampled at the same rate.
+        let ring_single = drive(&mut single, &accesses, 1, 8);
+        let ring_batched = drive(&mut batched, &accesses, 13, 8);
         assert_eq!(serial.now(), batched.now(), "clock domain identical");
         assert_eq!(serial.counters(), batched.counters());
+        assert_eq!(single.counters(), batched.counters());
         assert_eq!(serial.path_counts(), batched.path_counts());
         assert_eq!(serial.traffic(), batched.traffic());
-        assert_eq!(ring_s.into_vec(), ring_b.into_vec(), "sampled records identical");
+        assert_eq!(ring_single.into_vec(), ring_batched.into_vec(), "sampled records identical");
         assert_eq!(serial.hbm().histograms(), batched.hbm().histograms());
         assert_eq!(serial.dram().histograms(), batched.dram().histograms());
+    }
+
+    #[test]
+    fn bw_point_class_bytes_reconcile_with_the_devices() {
+        let mut s = system();
+        s.enable_traffic_accounting();
+        drive(&mut s, &stream(), 64, 0);
+        let p = s.bw_point();
+        let (hbm, dram) = (s.hbm().counters().total_bytes(), s.dram().counters().total_bytes());
+        assert_eq!(p.class_bytes.iter().sum::<u64>(), hbm + dram);
+        assert_eq!(p.class_bytes[memsim_types::TrafficDevice::OffChip.index()], dram);
+        assert_eq!(p.cycles, s.now());
     }
 
     #[test]

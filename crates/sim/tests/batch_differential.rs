@@ -8,9 +8,10 @@
 //! cause-attributed traffic/bandwidth stream. Batching is a pure
 //! performance transform: chunks are cut at epoch boundaries and the
 //! warm-up point, and planned device operations are serviced strictly in
-//! access order, so `--batch 1` (the one-access-at-a-time pipeline) is
-//! the ground truth every wider chunk must reproduce exactly — composed
-//! with set-sharding (`--shards {1, 2, 8}`) and `--jobs` widths.
+//! access order, so the serial `--batch 1` run (one access per chunk,
+//! lookup on the cell's thread) is the ground truth every wider chunk
+//! must reproduce exactly — composed with set-sharding
+//! (`--shards {1, 2, 8}`) and `--jobs` widths.
 //!
 //! Runs only with `--features proptest` (the in-repo shim), like the
 //! other differential suites.
@@ -96,23 +97,17 @@ proptest! {
             }
         }
 
-        // Composed with set-sharding: at each shard width, the sharded
-        // batch=1 run is the ground truth for wider chunks.
-        let shardable = ExperimentMatrix::cross(
-            "batch_diff_sharded",
-            &[Design::Bumblebee],
-            &[profile],
-            &RunConfig::at_scale(256, accesses),
-        );
+        // Composed with set-sharding: every shard × batch width reproduces
+        // the serial --batch 1 run — baselines included, which keep their
+        // lookup on the cell's thread under --shards.
         for shards in [1usize, 2, 8] {
-            let narrow = run(&shardable, metrics, 1, 1, Some(shards));
-            for batch in [7usize, 4096] {
-                let wide = run(&shardable, metrics, 1, batch, Some(shards));
-                prop_assert_eq!(narrow.jsonl_lines(), wide.jsonl_lines());
-                prop_assert_eq!(narrow.epochs_jsonl_lines(), wide.epochs_jsonl_lines());
-                prop_assert_eq!(narrow.trace_jsonl_lines(), wide.trace_jsonl_lines());
-                prop_assert_eq!(narrow.lat_jsonl_lines(), wide.lat_jsonl_lines());
-                prop_assert_eq!(narrow.bw_jsonl_lines(), wide.bw_jsonl_lines());
+            for batch in [1usize, 7, 4096] {
+                let wide = run(&m, metrics, 1, batch, Some(shards));
+                prop_assert_eq!(reference.jsonl_lines(), wide.jsonl_lines());
+                prop_assert_eq!(reference.epochs_jsonl_lines(), wide.epochs_jsonl_lines());
+                prop_assert_eq!(reference.trace_jsonl_lines(), wide.trace_jsonl_lines());
+                prop_assert_eq!(reference.lat_jsonl_lines(), wide.lat_jsonl_lines());
+                prop_assert_eq!(reference.bw_jsonl_lines(), wide.bw_jsonl_lines());
             }
         }
 
@@ -144,11 +139,15 @@ fn non_divisible_tail_and_boundary_cuts_stay_identical() {
         ..MetricsConfig::default()
     };
     let reference = run(&m, metrics, 1, 1, None);
-    for batch in [2usize, 100, 1000, 1 << 20] {
-        let b = run(&m, metrics, 1, batch, None);
-        assert_eq!(reference.jsonl_lines(), b.jsonl_lines(), "batch={batch}");
-        assert_eq!(reference.epochs_jsonl_lines(), b.epochs_jsonl_lines(), "batch={batch}");
-        assert_eq!(reference.lat_jsonl_lines(), b.lat_jsonl_lines(), "batch={batch}");
-        assert_eq!(reference.bw_jsonl_lines(), b.bw_jsonl_lines(), "batch={batch}");
+    for shards in [None, Some(2), Some(3)] {
+        for batch in [2usize, 100, 1000, 1 << 20] {
+            let b = run(&m, metrics, 1, batch, shards);
+            let at = format!("batch={batch} shards={shards:?}");
+            assert_eq!(reference.jsonl_lines(), b.jsonl_lines(), "{at}");
+            assert_eq!(reference.epochs_jsonl_lines(), b.epochs_jsonl_lines(), "{at}");
+            assert_eq!(reference.trace_jsonl_lines(), b.trace_jsonl_lines(), "{at}");
+            assert_eq!(reference.lat_jsonl_lines(), b.lat_jsonl_lines(), "{at}");
+            assert_eq!(reference.bw_jsonl_lines(), b.bw_jsonl_lines(), "{at}");
+        }
     }
 }

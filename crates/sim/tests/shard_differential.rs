@@ -1,7 +1,8 @@
 //! Differential property suite for set-sharded runs: for randomly drawn
-//! run configurations on two workload profiles (mcf, xz), the sharded
-//! pipeline must produce byte-identical output at shard widths
-//! {1, 2, 3, 8} — the `SimReport` JSONL line (which carries `CtrlStats`
+//! run configurations on two workload profiles (mcf, xz), every shard
+//! width {1, 2, 3, 8} × batch width {1, 64, 4096} must reproduce the
+//! serial run at `--batch 1` (lookup on the cell's thread, one access per
+//! chunk) byte for byte — the `SimReport` JSONL line (which carries `CtrlStats`
 //! and every cycle-domain invariant: cycles, IPC, hit rate, migrations,
 //! over-fetch), the epoch time-series JSONL, the event-trace JSONL, the
 //! sampled latency-attribution stream (`AccessRecord`s plus per-path
@@ -37,8 +38,7 @@ proptest! {
             ..MetricsConfig::default()
         };
 
-        let reference =
-            Engine::new(1).with_metrics(metrics).with_shards(Some(1)).run(&m).unwrap();
+        let reference = Engine::new(1).with_metrics(metrics).with_batch(1).run(&m).unwrap();
         // The reference must actually carry the invariants being compared.
         prop_assert!(!reference.jsonl_lines().is_empty());
         prop_assert!(!reference.epochs_jsonl_lines().is_empty());
@@ -69,24 +69,31 @@ proptest! {
         memsim_obs::reconcile(&obs.traffic.matrix, report.hbm_bytes, report.dram_bytes)
             .map_err(|e| TestCaseError::fail(e))?;
 
-        for shards in [2usize, 3, 8] {
-            let n = Engine::new(1).with_metrics(metrics).with_shards(Some(shards)).run(&m).unwrap();
-            // SimReport line: CtrlStats + cycle-domain invariants.
-            prop_assert_eq!(reference.jsonl_lines(), n.jsonl_lines());
-            // Epoch time-series, byte for byte.
-            prop_assert_eq!(reference.epochs_jsonl_lines(), n.epochs_jsonl_lines());
-            // Event trace, byte for byte.
-            prop_assert_eq!(reference.trace_jsonl_lines(), n.trace_jsonl_lines());
-            // Sampled latency stream, byte for byte — and the underlying
-            // record vector, not just its rendering.
-            prop_assert_eq!(reference.lat_jsonl_lines(), n.lat_jsonl_lines());
-            prop_assert_eq!(&n.observations().unwrap()[0].records, &obs.records);
-            // Traffic/bandwidth stream, byte for byte — and the underlying
-            // merged matrix, not just its rendering.
-            prop_assert_eq!(reference.bw_jsonl_lines(), n.bw_jsonl_lines());
-            prop_assert_eq!(&n.observations().unwrap()[0].traffic, &obs.traffic);
-            // The merged CtrlStats struct itself, not just its rendering.
-            prop_assert_eq!(&n.reports()[0].stats, &report.stats);
+        for shards in [1usize, 2, 3, 8] {
+            for batch in [1usize, 64, 4096] {
+                let n = Engine::new(1)
+                    .with_metrics(metrics)
+                    .with_shards(Some(shards))
+                    .with_batch(batch)
+                    .run(&m)
+                    .unwrap();
+                // SimReport line: CtrlStats + cycle-domain invariants.
+                prop_assert_eq!(reference.jsonl_lines(), n.jsonl_lines());
+                // Epoch time-series, byte for byte.
+                prop_assert_eq!(reference.epochs_jsonl_lines(), n.epochs_jsonl_lines());
+                // Event trace, byte for byte.
+                prop_assert_eq!(reference.trace_jsonl_lines(), n.trace_jsonl_lines());
+                // Sampled latency stream, byte for byte — and the
+                // underlying record vector, not just its rendering.
+                prop_assert_eq!(reference.lat_jsonl_lines(), n.lat_jsonl_lines());
+                prop_assert_eq!(&n.observations().unwrap()[0].records, &obs.records);
+                // Traffic/bandwidth stream, byte for byte — and the
+                // underlying matrix, not just its rendering.
+                prop_assert_eq!(reference.bw_jsonl_lines(), n.bw_jsonl_lines());
+                prop_assert_eq!(&n.observations().unwrap()[0].traffic, &obs.traffic);
+                // The summed CtrlStats struct itself, not just its rendering.
+                prop_assert_eq!(&n.reports()[0].stats, &report.stats);
+            }
         }
 
         // The record and traffic streams are also invariant across --jobs

@@ -36,12 +36,10 @@
 pub mod io;
 pub mod mix;
 pub mod rng;
-pub mod shard;
 pub mod spec;
 pub mod workload;
 
 pub use mix::MixWorkload;
 pub use rng::SplitMix64;
-pub use shard::ShardStream;
 pub use spec::{LocalityClass, SpecProfile, WorkloadSpec};
 pub use workload::Workload;

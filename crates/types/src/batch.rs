@@ -213,6 +213,32 @@ impl PlanBuffer {
             path: e.path,
         }
     }
+
+    /// Appends the sealed entries `entries` of `src`, in order: their ops
+    /// are copied in one block per column and their bounds rebased onto
+    /// this arena, as if each had been planned and sealed here.
+    // audit: hot-path
+    pub fn extend_from(&mut self, src: &PlanBuffer, entries: std::ops::Range<usize>) {
+        if entries.start >= entries.end {
+            return;
+        }
+        let (crit_from, bg_from) = match entries.start.checked_sub(1) {
+            Some(p) => (src.entries[p].crit_end, src.entries[p].bg_end),
+            None => (0, 0),
+        };
+        let last = &src.entries[entries.end - 1];
+        let crit_base = self.ops.critical.len() as u32;
+        let bg_base = self.ops.background.len() as u32;
+        let critical = &src.ops.critical[crit_from as usize..last.crit_end as usize];
+        let background = &src.ops.background[bg_from as usize..last.bg_end as usize];
+        self.ops.critical.extend_from_slice(critical);
+        self.ops.background.extend_from_slice(background);
+        self.entries.extend(src.entries[entries].iter().map(|e| PlanEntry {
+            crit_end: e.crit_end - crit_from + crit_base,
+            bg_end: e.bg_end - bg_from + bg_base,
+            ..*e
+        }));
+    }
 }
 
 #[cfg(test)]
@@ -299,5 +325,32 @@ mod tests {
         assert!(pb.is_empty());
         assert!(pb.ops.critical.is_empty());
         assert_eq!(pb.ops.critical.capacity(), cap, "arena recycle keeps capacity");
+    }
+
+    #[test]
+    fn extend_from_rebases_copied_entries() {
+        let mut src = PlanBuffer::new();
+        for i in 0..4u64 {
+            let p = src.plan_mut();
+            for _ in 0..i {
+                p.critical.push(DeviceOp::demand_read(Mem::Hbm, Addr(i * 64), 64));
+            }
+            p.background.push(DeviceOp::demand_write(Mem::OffChip, Addr(i), 64));
+            p.stall_cycles = i;
+            src.seal();
+        }
+        let mut dst = PlanBuffer::new();
+        dst.plan_mut().critical.push(DeviceOp::demand_read(Mem::OffChip, Addr(7), 64));
+        dst.seal();
+        dst.extend_from(&src, 1..3);
+        dst.extend_from(&src, 3..3);
+        assert_eq!(dst.len(), 3);
+        for (d, s) in [(1, 1), (2, 2)] {
+            let (a, b) = (dst.entry(d), src.entry(s));
+            assert_eq!(a.critical, b.critical);
+            assert_eq!(a.background, b.background);
+            assert_eq!(a.stall_cycles, b.stall_cycles);
+        }
+        assert_eq!(dst.entry(0).critical.len(), 1, "earlier entries untouched");
     }
 }

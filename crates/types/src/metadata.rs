@@ -138,16 +138,17 @@ impl MetadataModel {
         self.sram_cycles
     }
 
-    /// Stateless variant of [`lookup`](Self::lookup) for sharded runs: the
-    /// cost of the lookup at 0-based global index `index`, independent of
-    /// any per-model counter state.
+    /// Stateless variant of [`lookup`](Self::lookup): the cost of the
+    /// lookup at 0-based global index `index`, independent of any
+    /// per-model counter state.
     ///
     /// The serial spill schedule is a Bresenham accumulator — after `k`
     /// lookups exactly `floor(k · miss_fraction)` have spilled — so lookup
     /// `k` spills iff `floor(k·mf) > floor((k−1)·mf)`. Evaluating that
-    /// predicate from the index alone lets N shard workers each charge
-    /// exactly the lookups of the accesses they own while reproducing the
-    /// global schedule, with no shared counter.
+    /// predicate from the index alone lets controllers that each own some
+    /// remapping sets charge exactly the lookups of their own accesses
+    /// while reproducing the global schedule, with no shared counter.
+    // audit: hot-path
     pub fn lookup_at(&self, index: u64, plan: &mut AccessPlan, around: Addr) -> u32 {
         if self.sram_hit_fraction >= 1.0 {
             return self.sram_cycles;

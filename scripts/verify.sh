@@ -113,66 +113,41 @@ if ! cmp -s "$smoke/serial/fig8.jsonl" "$smoke/parallel/fig8.jsonl"; then
 fi
 echo "ok: $(wc -l < "$smoke/serial/fig8.jsonl") JSONL lines identical at both widths"
 
-echo "== smoke: fig6 set-sharded runs must be byte-identical at any width =="
-# The --shards tentpole invariant as a CI artifact: one fig6 sweep (which
-# mixes shardable Bumblebee cells with serial-fallback No-HBM cells) run
-# at shard widths 1, 2 and 8 must produce identical results, epoch
-# time-series, event-trace and sampled latency JSONL, byte for byte.
-for n in 1 2 8; do
-  cargo run --release -q -p bumblebee-bench --bin fig6 -- \
-    --scale 256 --accesses 20000 --workloads mcf --jobs 2 --metrics \
-    --trace-sample 64 --shards "$n" --out "$smoke/shards$n" >/dev/null
-done
-for f in fig6.jsonl fig6.epochs.jsonl fig6.trace.jsonl fig6.lat.jsonl fig6.bw.jsonl; do
-  if [ ! -s "$smoke/shards1/$f" ]; then
-    echo "FAIL: sharded smoke did not produce a non-empty $f" >&2
-    exit 1
-  fi
-  for n in 2 8; do
-    if ! cmp -s "$smoke/shards1/$f" "$smoke/shards$n/$f"; then
-      echo "FAIL: $f differs between --shards 1 and --shards $n" >&2
-      diff "$smoke/shards1/$f" "$smoke/shards$n/$f" | head >&2
+echo "== smoke: fig6/fig8 byte-identical at every --shards x --batch point =="
+# --jobs, --shards and --batch are pure performance transforms of one
+# simulation model, so every point of the matrix {no --shards, 1, 2, 8}
+# x --batch {1, 64, 4096} must reproduce the serial --batch 1 run: the
+# results, epoch time-series, event-trace, sampled latency and bandwidth
+# JSONL of fig6 (Bumblebee design points plus No-HBM) and fig8 (every
+# baseline, whose lookup stays on the cell's thread, plus Bumblebee),
+# byte for byte.
+for fig in fig6 fig8; do
+  for shards in none 1 2 8; do
+    for batch in 1 64 4096; do
+      shard_flag=()
+      if [ "$shards" != none ]; then shard_flag=(--shards "$shards"); fi
+      cargo run --release -q -p bumblebee-bench --bin "$fig" -- \
+        --scale 256 --accesses 20000 --workloads mcf --jobs 2 --metrics \
+        --trace-sample 64 "${shard_flag[@]}" --batch "$batch" \
+        --out "$smoke/$fig-s$shards-b$batch" >/dev/null
+    done
+  done
+  ref="$smoke/$fig-snone-b1"
+  for f in "$fig.jsonl" "$fig.epochs.jsonl" "$fig.trace.jsonl" "$fig.lat.jsonl" "$fig.bw.jsonl"; do
+    if [ ! -s "$ref/$f" ]; then
+      echo "FAIL: the serial --batch 1 run did not produce a non-empty $f" >&2
       exit 1
     fi
+    for run in "$smoke/$fig"-s*-b*; do
+      if ! cmp -s "$ref/$f" "$run/$f"; then
+        echo "FAIL: $f differs between serial --batch 1 and ${run##*/}" >&2
+        diff "$ref/$f" "$run/$f" | head >&2
+        exit 1
+      fi
+    done
   done
 done
-echo "ok: fig6 results/epochs/trace/lat/bw identical at --shards 1, 2 and 8"
-
-echo "== smoke: fig6 batched pipeline must be byte-identical at any chunk width =="
-# The --batch tentpole invariant: batching is a pure performance
-# transform, so one fig6 sweep at chunk widths 1, 64 and 4096 must
-# produce identical results, epoch, trace, latency and bandwidth JSONL.
-# Byte-identity holds *within* a pipeline — the serial (no --shards)
-# matrix compares against serial --batch 1 and the sharded (--shards 2)
-# matrix against sharded --batch 1; the two pipelines are distinct
-# documented time-domain models (DESIGN.md §10).
-for n in 1 64 4096; do
-  cargo run --release -q -p bumblebee-bench --bin fig6 -- \
-    --scale 256 --accesses 20000 --workloads mcf --jobs 2 --metrics \
-    --trace-sample 64 --batch "$n" --out "$smoke/batch$n" >/dev/null
-  cargo run --release -q -p bumblebee-bench --bin fig6 -- \
-    --scale 256 --accesses 20000 --workloads mcf --jobs 2 --metrics \
-    --trace-sample 64 --shards 2 --batch "$n" --out "$smoke/batch${n}s2" >/dev/null
-done
-for f in fig6.jsonl fig6.epochs.jsonl fig6.trace.jsonl fig6.lat.jsonl fig6.bw.jsonl; do
-  if [ ! -s "$smoke/batch1/$f" ] || [ ! -s "$smoke/batch1s2/$f" ]; then
-    echo "FAIL: batched smoke did not produce a non-empty $f" >&2
-    exit 1
-  fi
-  for n in 64 4096; do
-    if ! cmp -s "$smoke/batch1/$f" "$smoke/batch$n/$f"; then
-      echo "FAIL: serial $f differs between --batch 1 and --batch $n" >&2
-      diff "$smoke/batch1/$f" "$smoke/batch$n/$f" | head >&2
-      exit 1
-    fi
-    if ! cmp -s "$smoke/batch1s2/$f" "$smoke/batch${n}s2/$f"; then
-      echo "FAIL: sharded $f differs between --batch 1 and --batch $n" >&2
-      diff "$smoke/batch1s2/$f" "$smoke/batch${n}s2/$f" | head >&2
-      exit 1
-    fi
-  done
-done
-echo "ok: fig6 results/epochs/trace/lat/bw identical at --batch 1, 64 and 4096 (serial and --shards 2)"
+echo "ok: fig6 and fig8 results/epochs/trace/lat/bw identical at all 12 --shards x --batch points"
 
 echo "== smoke: trace_tool latency — per-path tails reconcile exactly =="
 # Hard gate on the latency-attribution acceptance criterion: the per-path
@@ -180,7 +155,7 @@ echo "== smoke: trace_tool latency — per-path tails reconcile exactly =="
 # controller hit/miss/bypass counters (trace_tool latency exits nonzero
 # on any mismatch), for Bumblebee and every baseline in the sweep.
 cargo run --release -q -p bumblebee-bench --bin trace_tool -- \
-  latency "$smoke/shards1/fig6.lat.jsonl" >/dev/null
+  latency "$smoke/fig6-snone-b1/fig6.lat.jsonl" >/dev/null
 echo "ok: path counts reconcile against CtrlStats for every design"
 
 echo "== smoke: trace_tool bandwidth — cause bytes reconcile exactly =="
@@ -188,9 +163,9 @@ echo "== smoke: trace_tool bandwidth — cause bytes reconcile exactly =="
 # the cause-attributed byte sums in fig6.bw.jsonl must reconcile EXACTLY
 # against the DRAM devices' own total_bytes counters (trace_tool
 # bandwidth exits nonzero on any unclassified, dropped or double-counted
-# transaction), for Bumblebee and every baseline in the shard matrix.
+# transaction), for Bumblebee and every baseline in the sweep.
 cargo run --release -q -p bumblebee-bench --bin trace_tool -- \
-  bandwidth "$smoke/shards1/fig6.bw.jsonl" >/dev/null
+  bandwidth "$smoke/fig6-snone-b1/fig6.bw.jsonl" >/dev/null
 echo "ok: cause-attributed bytes reconcile with device counters"
 
 echo "== smoke: fig6 --metrics writes observability artifacts =="
@@ -329,13 +304,22 @@ else
        "on a quiet machine)" >&2
 fi
 
+echo "== bench: --shards 2 quick suite invariants vs committed baseline =="
+# The whole quick suite (Bumblebee and every baseline) with two lookup
+# workers per Bumblebee cell: sharding must not change a single
+# simulated number, so its cycle-domain invariants must match
+# results/bench_baseline.json exactly, like the serial run's above.
+cargo run --release -q -p bumblebee-bench --bin bench_harness -- \
+  --quick --shards 2 --out "$smoke/bench" --sha shards2 >/dev/null
+cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
+  compare results/bench_baseline.json "$smoke/bench/BENCH_shards2.json" \
+  --time-threshold-pct 1000000 >/dev/null
+echo "ok: --shards 2 invariants match the committed baseline"
+
 echo "== bench: --shards intra-run speedup (warn-only) =="
-# Sharded quick suites at widths 1 and 4 (Bumblebee cells only — the
-# harness restricts a sharded suite to shardable designs). The invariant
-# comparison is a hard gate: sharding must not change a single simulated
-# number. The >= 2x suite-wall speedup is warn-only — it needs 4 real
-# cores and a quiet machine — and both BENCH files record their shard
-# width for later inspection.
+# Suite wall at --shards 1 vs --shards 4: the >= 2x speedup is warn-only
+# — it needs 4 real cores and a quiet machine — and both BENCH files
+# record their shard width for later inspection.
 cores="$(nproc 2>/dev/null || echo 1)"
 if [ "$cores" -lt 4 ]; then
   echo "skip: host has $cores core(s), speedup check needs >= 4"
@@ -344,10 +328,6 @@ else
     --quick --shards 1 --out "$smoke/bench" --sha shards1 >/dev/null
   cargo run --release -q -p bumblebee-bench --bin bench_harness -- \
     --quick --shards 4 --out "$smoke/bench" --sha shards4 >/dev/null
-  cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
-    compare "$smoke/bench/BENCH_shards1.json" "$smoke/bench/BENCH_shards4.json" \
-    --time-threshold-pct 1000000 >/dev/null
-  echo "ok: cycle-domain invariants identical at --shards 1 and --shards 4"
   suite_wall() {
     grep -o '"wall_ms":[0-9.eE+-]*' "$1" | cut -d: -f2 | awk '{s+=$1} END {print s}'
   }
