@@ -6,14 +6,14 @@
 //! with their impl/trait owners, `// audit:` annotations, unit fields).
 //! Pass two runs the rules:
 //!
-//! * per-file rules (`det-*`, `hot-panic`/`hot-alloc`/`hot-callee`,
-//!   `struct-*`, `merge-commutative`) see one file at a time, exactly as
-//!   the PR 5 engine did;
-//! * workspace rules see the whole corpus: `unit-mismatch` resolves names
-//!   against the global [`units::UnitTable`], `hot-transitive` walks the
-//!   cross-crate [`CallGraph`] from the controller/channel roots, and
-//!   `obs-counter-reconcile` matches crates/obs counters against every
-//!   test region and reconciliation fn in the workspace.
+//! * per-file rules (`det-*`, `struct-attrs`, `merge-commutative`) see
+//!   one file at a time;
+//! * workspace rules see the whole corpus: `hot-panic`/`hot-alloc` audit
+//!   the hot set computed from the cross-crate [`CallGraph`] (see
+//!   [`CallGraph::hot_set`]), `unit-mismatch` resolves names against the
+//!   global [`units::UnitTable`], and `obs-counter-reconcile` matches
+//!   crates/obs counters against every test region and reconciliation fn
+//!   in the workspace.
 //!
 //! The layering keeps fixture tests filesystem-free:
 //!
@@ -25,9 +25,9 @@
 //!   integration-test sources as reconciliation evidence) and audit them.
 
 use crate::graph::{CallGraph, FnId, Workspace};
-use crate::items::{FileStructure, FnItem};
+use crate::items::FileStructure;
 use crate::lexer::{TokKind, Token};
-use crate::rules::{self, CALLEE_SKIP};
+use crate::rules;
 use crate::units;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -61,7 +61,7 @@ pub struct AuditReport {
     pub exceptions: Vec<(String, String, u32, String)>,
     /// Total `allow` directives seen (used or not).
     pub allows_declared: usize,
-    /// Number of `// audit: hot-path` fns audited.
+    /// Size of the computed hot set (fns audited by `hot-panic`/`hot-alloc`).
     pub hot_fns: usize,
     /// Number of `// audit: merge` fns audited for commutativity.
     pub merge_fns: usize,
@@ -134,8 +134,6 @@ pub struct FileClass {
     /// executor and the set-shard worker pipeline) — the only places
     /// allowed to touch `std::thread`.
     pub threads_allowed: bool,
-    /// Inside crates/core or crates/types — pub items must be documented.
-    pub docs_required: bool,
     /// A crate root (src/lib.rs) — must carry the structure attributes.
     pub is_crate_root: bool,
 }
@@ -148,8 +146,6 @@ impl FileClass {
             in_obs: unix.starts_with("crates/obs/"),
             threads_allowed: unix == "crates/sim/src/engine.rs"
                 || unix == "crates/sim/src/shard.rs",
-            docs_required: unix.starts_with("crates/core/src/")
-                || unix.starts_with("crates/types/src/"),
             is_crate_root: unix.ends_with("src/lib.rs"),
         }
     }
@@ -177,13 +173,9 @@ fn file_rules(rel: &str, toks: &[Token], st: &FileStructure, raw: &mut Vec<(usiz
     det_entropy(rel, toks, st, raw);
     det_unordered_iter(rel, toks, st, raw);
     det_thread(rel, class, toks, st, raw);
-    hot_rules(rel, toks, st, raw);
     merge_commutative(rel, toks, st, raw);
     if class.is_crate_root {
         struct_attrs(rel, toks, raw);
-    }
-    if class.docs_required {
-        struct_pub_docs(rel, toks, st, raw);
     }
 
     // Malformed directives and unknown rule ids in allows.
@@ -201,7 +193,7 @@ fn file_rules(rel: &str, toks: &[Token], st: &FileStructure, raw: &mut Vec<(usiz
 }
 
 /// Audits a pre-built workspace: per-file rules, then the workspace rules
-/// (`unit-mismatch`, `hot-transitive`, `obs-counter-reconcile`).
+/// (`unit-mismatch`, `hot-panic`/`hot-alloc`, `obs-counter-reconcile`).
 /// `aux_idents` is extra reconciliation evidence — idents from sources
 /// outside the audited corpus (integration-test files).
 pub fn check_ws(ws: &Workspace, aux_idents: &BTreeSet<String>) -> AuditReport {
@@ -215,14 +207,13 @@ pub fn check_ws(ws: &Workspace, aux_idents: &BTreeSet<String>) -> AuditReport {
             units::scan(&file.rel, &file.toks, &file.st, &table, &mut raw[fi]);
         }
     }
-    report.call_edges = hot_transitive(ws, &mut raw);
+    (report.hot_fns, report.call_edges) = hot_rules(ws, &mut raw);
     obs_counter_reconcile(ws, aux_idents, &mut raw);
 
     for (fi, file) in ws.files.iter().enumerate() {
         let st = &file.st;
         report.files += 1;
         report.allows_declared += st.allows.len();
-        report.hot_fns += st.fns.iter().filter(|f| f.hot && !f.in_test).count();
         report.merge_fns += st.fns.iter().filter(|f| f.merge && !f.in_test).count();
         report.unit_annotations +=
             st.unit_fields.len() + st.fns.iter().filter(|f| f.unit.is_some()).count();
@@ -478,17 +469,33 @@ fn det_thread(
     }
 }
 
-/// Runs `hot-panic`, `hot-alloc` and `hot-callee` over every annotated fn.
-fn hot_rules(rel: &str, toks: &[Token], st: &FileStructure, out: &mut Vec<(usize, Finding)>) {
-    for f in st.fns.iter().filter(|f| f.hot && !f.in_test) {
-        let Some((start, end)) = f.body else { continue };
-        hot_panic(rel, toks, start, end, out);
-        hot_alloc(rel, toks, start, end, out);
-        hot_callee(rel, toks, st, f, start, end, out);
+/// Runs `hot-panic` and `hot-alloc` over the computed hot set. Returns
+/// the set's size and the resolved call-edge count for the report.
+fn hot_rules(ws: &Workspace, raw: &mut [Vec<(usize, Finding)>]) -> (usize, usize) {
+    let g = CallGraph::build(ws);
+    let hot = g.hot_set(ws);
+    let qual = |id: FnId| {
+        let f = &ws.files[id.file].st.fns[id.idx];
+        match &f.owner {
+            Some(o) => format!("{o}::{}", f.name),
+            None => f.name.clone(),
+        }
+    };
+    for (&id, &from) in &hot {
+        let file = &ws.files[id.file];
+        let Some((start, end)) = file.st.fns[id.idx].body else { continue };
+        let ctx = if id == from {
+            format!("hot root `{}`", qual(id))
+        } else {
+            format!("hot fn `{}` (reached via `{}`)", qual(id), qual(from))
+        };
+        hot_panic(&file.rel, &file.toks, start, end, &ctx, &mut raw[id.file]);
+        hot_alloc(&file.rel, &file.toks, start, end, &ctx, &mut raw[id.file]);
     }
+    (hot.len(), g.edge_count)
 }
 
-fn hot_panic(rel: &str, toks: &[Token], start: usize, end: usize, out: &mut Vec<(usize, Finding)>) {
+fn hot_panic(rel: &str, toks: &[Token], start: usize, end: usize, ctx: &str, out: &mut Vec<(usize, Finding)>) {
     for i in start..=end.min(toks.len() - 1) {
         let t = &toks[i];
         if t.kind != TokKind::Ident {
@@ -505,13 +512,13 @@ fn hot_panic(rel: &str, toks: &[Token], start: usize, end: usize, out: &mut Vec<
         if is_macro || is_method {
             out.push((
                 i,
-                finding("hot-panic", rel, t.line, format!("`{}` in a hot-path fn", t.text)),
+                finding("hot-panic", rel, t.line, format!("`{}` in {ctx}", t.text)),
             ));
         }
     }
 }
 
-fn hot_alloc(rel: &str, toks: &[Token], start: usize, end: usize, out: &mut Vec<(usize, Finding)>) {
+fn hot_alloc(rel: &str, toks: &[Token], start: usize, end: usize, ctx: &str, out: &mut Vec<(usize, Finding)>) {
     // Locals bound to a growable empty Vec inside this fn.
     let mut growable: Vec<&str> = Vec::new();
     let mut i = start;
@@ -572,94 +579,7 @@ fn hot_alloc(rel: &str, toks: &[Token], start: usize, end: usize, out: &mut Vec<
             ));
         }
         if let Some(msg) = hit {
-            out.push((i, finding("hot-alloc", rel, t.line, format!("{msg} in a hot-path fn"))));
-        }
-    }
-}
-
-fn hot_callee(
-    rel: &str,
-    toks: &[Token],
-    st: &FileStructure,
-    f: &FnItem,
-    start: usize,
-    end: usize,
-    out: &mut Vec<(usize, Finding)>,
-) {
-    for i in start..=end.min(toks.len() - 1) {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        // Any same-file fn with this name; treat the call as audited when
-        // at least one same-name fn is annotated (lexical ambiguity).
-        let mut defined = false;
-        let mut audited = false;
-        for g in st.fns.iter().filter(|g| !g.in_test && g.name == t.text) {
-            defined = true;
-            audited |= g.hot;
-        }
-        if !defined || audited || t.text == f.name {
-            continue;
-        }
-        let prev = prev_code(toks, i);
-        let call = match prev {
-            Some((_, p)) if p.is_ident("fn") => None, // a nested fn's own signature
-            Some((k, p)) if p.is_punct('.') => {
-                let receiver = prev_code(toks, k);
-                // A `self.` receiver always resolves to this file's impl, so
-                // even skip-listed ubiquitous names (push, clear, …) stay in
-                // the closure — that is how ring-buffer samplers named like
-                // std collections (`LatRing::push`) keep hot-* coverage.
-                let own_method = matches!(&receiver, Some((_, r)) if r.is_ident("self"));
-                // Likewise, when a same-file type defines a *method* with
-                // this name, an unknown receiver is far more likely that
-                // type than a std collection — skipping it was the PR 5
-                // false negative that let `ring.push(…)` escape the
-                // closure whenever the method shadowed a std name.
-                let local_method =
-                    st.fns.iter().any(|g| !g.in_test && g.name == t.text && g.owner.is_some());
-                if CALLEE_SKIP.contains(&t.text.as_str()) && !own_method && !local_method {
-                    None
-                } else {
-                    Some(match receiver {
-                        Some((_, r)) if r.kind == TokKind::Ident => format!("{}.{}", r.text, t.text),
-                        _ => format!(".{}", t.text),
-                    })
-                }
-            }
-            Some((k, p)) if p.is_punct(':') => {
-                // `Self::name(` is a same-file path call; so is a
-                // lowercase-qualified free-fn path (`crate::name(`,
-                // `self::name(`, `module::name(`) — PR 5 dropped those
-                // entirely, so shadow-named free fns reached through a
-                // path (`crate::push(…)`) were never audited.
-                match prev_code(toks, k).and_then(|(k2, _)| prev_code(toks, k2)) {
-                    Some((_, r)) if r.is_ident("Self") => Some(format!("Self::{}", t.text)),
-                    Some((_, r))
-                        if r.kind == TokKind::Ident
-                            && r.text.chars().next().is_some_and(|c| c.is_ascii_lowercase()) =>
-                    {
-                        Some(format!("{}::{}", r.text, t.text))
-                    }
-                    _ => None,
-                }
-            }
-            _ => Some(t.text.clone()),
-        };
-        if let Some(callee) = call {
-            out.push((
-                i,
-                finding(
-                    "hot-callee",
-                    rel,
-                    t.line,
-                    format!(
-                        "hot-path fn `{}` calls `{}` which is defined in this file but not marked `// audit: hot-path`",
-                        f.name, callee
-                    ),
-                ),
-            ));
+            out.push((i, finding("hot-alloc", rel, t.line, format!("{msg} in {ctx}"))));
         }
     }
 }
@@ -831,56 +751,6 @@ fn assign_target_is_self(toks: &[Token], start: usize, i: usize) -> bool {
     }
 }
 
-/// `hot-transitive`: BFS the call graph from the controller/channel roots
-/// and flag every reachable fn that is neither annotated hot-path nor
-/// covered by an `allow(hot-transitive)` cold boundary. Returns the
-/// resolved edge count for the report summary.
-fn hot_transitive(ws: &Workspace, raw: &mut [Vec<(usize, Finding)>]) -> usize {
-    let g = CallGraph::build(ws);
-    let roots = g.roots(ws);
-    let allowed = |id: FnId| {
-        let file = &ws.files[id.file];
-        let f = &file.st.fns[id.idx];
-        let tok = f.body.map_or(usize::MAX, |(s, _)| s);
-        file.st.allowed("hot-transitive", f.line, tok)
-    };
-    let qual = |id: FnId| {
-        let f = &ws.files[id.file].st.fns[id.idx];
-        match &f.owner {
-            Some(o) => format!("{o}::{}", f.name),
-            None => f.name.clone(),
-        }
-    };
-    // An allow(hot-transitive) is a declared cold boundary: the fn itself
-    // is excused *and* the walk does not descend into its callees.
-    let reach = g.reachable(&roots, |id| !allowed(id));
-    for (&id, &from) in &reach {
-        if allowed(id) {
-            continue;
-        }
-        let f = &ws.files[id.file].st.fns[id.idx];
-        // Bodiless fns (trait method signatures) have no code to audit —
-        // the impls they fan out to are the auditable surface.
-        if f.hot || f.body.is_none() {
-            continue;
-        }
-        let msg = if id == from {
-            format!("hot root `{}` is not marked `// audit: hot-path`", qual(id))
-        } else {
-            format!(
-                "`{}` is reachable from a hot root via `{}` ({}) but not marked \
-                 `// audit: hot-path`",
-                qual(id),
-                qual(from),
-                ws.files[from.file].rel
-            )
-        };
-        let rel = ws.files[id.file].rel.clone();
-        raw[id.file].push((f.tok, Finding { rule: "hot-transitive", path: rel, line: f.line, msg }));
-    }
-    g.edge_count
-}
-
 /// `obs-counter-reconcile`: every pub integer counter declared in
 /// crates/obs must be named by at least one reconciliation context — a
 /// `#[cfg(test)]` region anywhere, the body of a fn whose name signals an
@@ -990,106 +860,6 @@ fn struct_attrs(rel: &str, toks: &[Token], out: &mut Vec<(usize, Finding)>) {
         };
         out.push((usize::MAX, finding("struct-attrs", rel, 1, msg.into())));
     }
-}
-
-fn struct_pub_docs(rel: &str, toks: &[Token], st: &FileStructure, out: &mut Vec<(usize, Finding)>) {
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("pub") || st.in_test(i) {
-            continue;
-        }
-        // Item position: start of file or after `{` `}` `;` `,` `(` or `]`.
-        match prev_code(toks, i) {
-            None => {}
-            Some((_, p))
-                if p.is_punct('{') || p.is_punct('}') || p.is_punct(';') || p.is_punct(',')
-                    || p.is_punct('(') || p.is_punct(']') => {}
-            _ => continue,
-        }
-        let Some((j, n)) = next_code(toks, i + 1) else { continue };
-        if n.is_punct('(') {
-            continue; // pub(crate) / pub(super): not public API
-        }
-        // What kind of item follows?
-        let (kind, name) = if matches!(
-            n.text.as_str(),
-            "fn" | "struct" | "enum" | "trait" | "mod" | "const" | "static" | "type" | "union"
-        ) {
-            let name = next_code(toks, j + 1)
-                .map(|(_, t)| t.text.clone())
-                .unwrap_or_default();
-            // `pub mod x;` declarations are documented by the module
-            // file's own `//!` inner docs — rustc accepts that, so do we.
-            if n.is_ident("mod")
-                && next_code(toks, j + 1)
-                    .and_then(|(k, _)| next_code(toks, k + 1))
-                    .is_some_and(|(_, t)| t.is_punct(';'))
-            {
-                continue;
-            }
-            (n.text.clone(), name)
-        } else if n.is_ident("use") {
-            continue; // re-exports need no docs
-        } else if n.kind == TokKind::Ident
-            && next_code(toks, j + 1).is_some_and(|(_, c)| c.is_punct(':'))
-        {
-            ("field".to_string(), n.text.clone())
-        } else {
-            continue;
-        };
-        if !documented(toks, i) {
-            out.push((
-                i,
-                finding(
-                    "struct-pub-docs",
-                    rel,
-                    t.line,
-                    format!("undocumented pub {kind} `{name}`"),
-                ),
-            ));
-        }
-    }
-}
-
-/// Walks backwards from the `pub` at token `i` over attributes looking for
-/// a doc comment or `#[doc…]`.
-fn documented(toks: &[Token], i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let t = &toks[j];
-        if t.kind == TokKind::LineComment {
-            if t.text.starts_with("///") || t.text.starts_with("//!") {
-                return true;
-            }
-            // Ordinary comments (incl. audit directives) are transparent.
-        } else if t.kind == TokKind::BlockComment {
-            if t.text.starts_with("/**") || t.text.starts_with("/*!") {
-                return true;
-            }
-        } else if t.is_punct(']') {
-            // Skip the attribute backwards to its `#`.
-            let mut depth = 0i64;
-            while j > 0 {
-                if toks[j].is_punct(']') {
-                    depth += 1;
-                } else if toks[j].is_punct('[') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if toks[j].is_ident("doc") && depth == 1 {
-                    return true; // #[doc = …] / #[doc(hidden)]
-                }
-                j -= 1;
-            }
-            if j > 0 && toks[j - 1].is_punct('#') {
-                j -= 1;
-            }
-        } else {
-            return false;
-        }
-    }
-    false
 }
 
 /// Collects the workspace source files under `root` that the audit covers:
@@ -1256,24 +1026,13 @@ mod tests {
     }
 
     #[test]
-    fn hot_rules_only_fire_in_annotated_fns() {
-        let cold = "fn f() { x.unwrap(); }";
+    fn hot_rules_only_fire_in_reached_fns() {
+        let cold = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
         assert!(rules_hit("crates/core/src/x.rs", cold).is_empty());
-        let hot = "// audit: hot-path\nfn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert_eq!(rules_hit("crates/core/src/x.rs", hot), vec![("hot-panic", 2)]);
-    }
-
-    #[test]
-    fn hot_callee_closure() {
-        let src = "\
-// audit: hot-path
-fn fast(&self) { self.helper(); }
-fn helper(&self) {}
-";
-        let hits = rules_hit("crates/core/src/x.rs", src);
-        assert_eq!(hits, vec![("hot-callee", 2)]);
-        let fixed = src.replace("fn helper", "// audit: hot-path\nfn helper");
-        assert!(rules_hit("crates/core/src/x.rs", &fixed).is_empty());
+        let hot = "impl DemoController {\n  fn access(&mut self) { f(None); }\n}\n".to_string() + cold;
+        assert_eq!(rules_hit("crates/core/src/x.rs", &hot), vec![("hot-panic", 4)]);
+        let (findings, _) = check_source("crates/core/src/x.rs", &hot);
+        assert!(findings[0].msg.contains("reached via `DemoController::access`"), "{findings:?}");
     }
 
     #[test]
@@ -1286,15 +1045,6 @@ fn helper(&self) {}
         assert_eq!(hits.iter().filter(|(r, _)| *r == "struct-attrs").count(), 2);
         let good = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub fn x() {}";
         assert!(rules_hit("crates/foo/src/lib.rs", good).is_empty());
-    }
-
-    #[test]
-    fn pub_docs_scoped_to_core_and_types() {
-        let src = "pub fn naked() {}";
-        assert_eq!(rules_hit("crates/core/src/x.rs", src), vec![("struct-pub-docs", 1)]);
-        assert!(rules_hit("crates/sim/src/x.rs", src).is_empty());
-        let ok = "/// Documented.\npub fn fine() {}";
-        assert!(rules_hit("crates/core/src/x.rs", ok).is_empty());
     }
 
     #[test]

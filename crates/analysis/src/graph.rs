@@ -1,11 +1,10 @@
 //! The workspace pass: symbol table, cross-crate call graph, and the
-//! transitive hot-path closure.
+//! computed hot set the `hot-*` rules audit.
 //!
-//! PR 5's rule engine reasoned one file at a time, which kept the
-//! `// audit: hot-path` closure honest only *within* a file — a hot fn
-//! calling into another crate (`Controller::access` → `DramDevice::access`
-//! → `Channel::schedule`) escaped the `hot-*` rules entirely. This module
-//! is the second pass that closes that hole:
+//! The hot set is the per-access flow of the simulator: Bumblebee's
+//! remap-set lookup, hotness-based allocation and movement, the baseline
+//! controllers, the DRAM devices and the chunked service loop. It is
+//! derived, not declared:
 //!
 //! 1. **Symbol table** — every non-test `fn` in the workspace, indexed by
 //!    name, by `(owner type, name)` and by `(trait, name)`, using the
@@ -18,10 +17,10 @@
 //!    mentioned in the caller's file — the receiver-type heuristic that
 //!    makes dyn-trait dispatch (`Box<dyn HybridMemoryController>`) land on
 //!    all implementations;
-//! 3. **Reachability** — a cycle-tolerant BFS from the audited roots
-//!    (`Controller::access`, `access_batch`, `Channel::schedule`; see
-//!    [`CallGraph::roots`]) that yields the true transitive hot-path
-//!    closure the `hot-transitive` rule checks.
+//! 3. **Reachability** — a cycle-tolerant BFS from [`CallGraph::roots`]
+//!    that stops at declared cold boundaries
+//!    (`// audit: allow(hot-transitive) -- <reason>` on a fn) and yields
+//!    [`CallGraph::hot_set`].
 //!
 //! Everything is deterministic: symbol tables are `BTreeMap`s, edge sets
 //! are `BTreeSet`s, and the BFS visits in id order, so findings come out
@@ -194,25 +193,30 @@ impl CallGraph {
                 out
             }
             CallShape::Method(name) => {
-                if CALLEE_SKIP.contains(&name.as_str()) {
-                    return Vec::new();
-                }
                 let Some(ids) = self.method_by_name.get(name) else { return Vec::new() };
                 let idents = &ws.files[caller_file].idents;
+                // A std-named method (`push`, `get`, …) resolves only to an
+                // impl of a type the caller's file names: its receiver is
+                // usually a std collection, but a workspace ring or bitmap
+                // that shadows the name must still join the hot set.
+                let std_named = CALLEE_SKIP.contains(&name.as_str());
                 let mentioned = |id: &FnId| {
                     let f = &ws.files[id.file].st.fns[id.idx];
-                    id.file == caller_file
-                        || f.owner.as_ref().is_some_and(|o| idents.contains(o))
-                        || f.trait_name.as_ref().is_some_and(|t| idents.contains(t))
+                    let owner_named = f.owner.as_ref().is_some_and(|o| idents.contains(o));
+                    owner_named
+                        || !std_named
+                            && (id.file == caller_file
+                                || f.trait_name.as_ref().is_some_and(|t| idents.contains(t)))
                 };
                 ids.iter().copied().filter(mentioned).collect()
             }
         }
     }
 
-    /// The audited hot-path roots: every `access`/`access_batch` method on
-    /// a controller (owner named `*Controller*` or an impl of the
-    /// `HybridMemoryController` trait) plus `Channel::schedule`.
+    /// The hot roots: every `access`/`access_batch` method on a
+    /// controller (owner named `*Controller*` or an impl of the
+    /// `HybridMemoryController` trait) plus the per-chunk entry points
+    /// the simulator drives outside `access` ([`CHUNK_ROOTS`]).
     pub fn roots(&self, ws: &Workspace) -> Vec<FnId> {
         let mut roots = Vec::new();
         for (fi, file) in ws.files.iter().enumerate() {
@@ -223,7 +227,7 @@ impl CallGraph {
                 let is_ctrl = f.owner.as_ref().is_some_and(|o| o.contains("Controller"))
                     || f.trait_name.as_deref() == Some("HybridMemoryController");
                 let hit = (is_ctrl && matches!(f.name.as_str(), "access" | "access_batch"))
-                    || (f.owner.as_deref() == Some("Channel") && f.name == "schedule");
+                    || CHUNK_ROOTS.contains(&(f.owner.as_deref(), f.name.as_str()));
                 if hit {
                     roots.push(FnId { file: fi, idx });
                 }
@@ -232,11 +236,28 @@ impl CallGraph {
         roots
     }
 
+    /// The computed hot set: every fn with a body reachable from
+    /// [`CallGraph::roots`], mapped to the caller it was first reached
+    /// from (roots map to themselves). A fn carrying
+    /// `// audit: allow(hot-transitive) -- <reason>` is a declared cold
+    /// boundary: it is left out and the walk does not descend into it.
+    pub fn hot_set(&self, ws: &Workspace) -> BTreeMap<FnId, FnId> {
+        let cold = |id: FnId| {
+            let st = &ws.files[id.file].st;
+            let f = &st.fns[id.idx];
+            st.allowed("hot-transitive", f.line, f.body.map_or(usize::MAX, |(s, _)| s))
+        };
+        let mut reach = self.reachable(&self.roots(ws), |id| !cold(id));
+        // Bodiless fns (trait method signatures) have no code to audit —
+        // the impls they fan out to are the auditable surface.
+        reach.retain(|&id, _| !cold(id) && ws.files[id.file].st.fns[id.idx].body.is_some());
+        reach
+    }
+
     /// Cycle-tolerant BFS from `roots`. Returns every reached fn mapped to
     /// the caller it was first reached from (roots map to themselves).
-    /// `descend` decides whether the walk expands a node's callees —
-    /// returning `false` for fns carrying an `// audit: allow` makes a
-    /// justified cold boundary prune its whole subtree.
+    /// `descend` decides whether the walk expands a node's callees, so a
+    /// cold boundary prunes its whole subtree.
     pub fn reachable(
         &self,
         roots: &[FnId],
@@ -263,6 +284,20 @@ impl CallGraph {
         parent
     }
 }
+
+/// Entry points the simulator drives per chunk outside a controller's
+/// `access`, as `(owner type, name)`; a `None` owner is a free fn.
+const CHUNK_ROOTS: &[(Option<&str>, &str)] = &[
+    (Some("Channel"), "schedule"),
+    (Some("System"), "service"),
+    (Some("System"), "step_batch"),
+    (Some("System"), "plan_and_service"),
+    (Some("BumblebeeController"), "plan_range"),
+    (None, "splice"),
+    (Some("DramDevice"), "access"),
+    (Some("DramDevice"), "access_chunk"),
+    (Some("Workload"), "fill_batch"),
+];
 
 /// Extracts the call shapes in one fn body's token range.
 fn call_sites(toks: &[Token], start: usize, end: usize) -> Vec<CallShape> {
@@ -407,17 +442,46 @@ mod tests {
     }
 
     #[test]
-    fn roots_cover_controllers_and_channel() {
+    fn roots_cover_controllers_and_chunk_entry_points() {
         let w = ws(&[
             (
                 "crates/core/src/lib.rs",
-                "impl HybridMemoryController for Bee { fn access(&mut self) {} }\nstruct Bee;",
+                "impl HybridMemoryController for Bee { fn access(&mut self) {} }\nstruct Bee;\n\
+                 pub fn splice() {}",
             ),
             ("crates/dram/src/lib.rs", "impl Channel { pub fn schedule(&mut self) {} }"),
             ("crates/x/src/lib.rs", "impl FooController { fn access_batch(&mut self) {} }"),
+            ("crates/trace/src/lib.rs", "impl Workload { fn fill_batch(&mut self) {} fn seed(&self) {} }"),
         ]);
         let g = CallGraph::build(&w);
         let roots = g.roots(&w);
-        assert_eq!(roots.len(), 3, "{roots:?}");
+        assert_eq!(roots.len(), 5, "{roots:?}");
+        assert!(!roots.contains(&find(&w, "seed")));
+    }
+
+    #[test]
+    fn std_named_methods_resolve_only_to_named_types() {
+        let w = ws(&[
+            ("crates/a/src/lib.rs", "fn hot(r: &mut Ring, v: &mut Vec<u8>) { r.push(1); v.len(); }"),
+            ("crates/b/src/lib.rs", "impl Ring { fn push(&mut self, _x: u8) {} }\nimpl Bag { fn len(&self) {} }"),
+        ]);
+        let g = CallGraph::build(&w);
+        let edges = g.edges.get(&find(&w, "hot")).unwrap();
+        // `Ring` is named in the caller's file, `Bag` is not.
+        assert_eq!(edges.iter().copied().collect::<Vec<_>>(), vec![find(&w, "push")]);
+    }
+
+    #[test]
+    fn hot_set_stops_at_cold_boundaries() {
+        let w = ws(&[(
+            "crates/a/src/lib.rs",
+            "impl DemoController { fn access(&mut self) { warm(); cold(); } }\nfn warm() {}\n\
+             // audit: allow(hot-transitive) -- once per epoch\nfn cold() { deep(); }\nfn deep() {}",
+        )]);
+        let g = CallGraph::build(&w);
+        let hot = g.hot_set(&w);
+        let names: Vec<&str> =
+            hot.keys().map(|id| w.files[id.file].st.fns[id.idx].name.as_str()).collect();
+        assert_eq!(names, vec!["access", "warm"]);
     }
 }

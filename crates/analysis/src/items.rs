@@ -9,18 +9,16 @@
 //! # The `// audit:` annotation grammar
 //!
 //! ```text
-//! // audit: hot-path
 //! // audit: merge
 //! // audit: unit(cycles|bytes|accesses|ns)
 //! // audit: allow(<rule-id>) -- <reason>
 //! ```
 //!
-//! * `hot-path` marks the next `fn` item (only comments, attributes and
+//! * `merge` marks the next `fn` item (only comments, attributes and
 //!   visibility/qualifier keywords may stand between the comment and the
-//!   `fn`). The fn's body is then checked by the `hot-*` rules.
-//! * `merge` marks the next `fn` item as a shard-merge function: its body
-//!   is checked by the `merge-commutative` rule (only order-independent
-//!   accumulation is allowed — see the rule catalog).
+//!   `fn`) as a shard-merge function: its body is checked by the
+//!   `merge-commutative` rule (only order-independent accumulation is
+//!   allowed — see the rule catalog).
 //! * `unit(<u>)` attaches a measurement unit to the next field or `fn`
 //!   item (or, when trailing a field declaration, to that field). The
 //!   `unit-mismatch` rule flags additive arithmetic and comparisons
@@ -31,15 +29,15 @@
 //!   elsewhere → the next code line. The reason after `--` is mandatory;
 //!   the tool counts every audited exception and reports the total.
 //! * A malformed directive is itself a finding (`audit-syntax`) — silently
-//!   ignored annotations would be worse than none.
+//!   ignored annotations would be worse than none. That includes the
+//!   retired `hot-path` marker: the `hot-*` rules run on the hot set the
+//!   call graph computes (see [`crate::graph`]), not on annotations.
 
 use crate::lexer::{TokKind, Token};
 
 /// A parsed `// audit:` directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Directive {
-    /// `// audit: hot-path` — the next fn is a controller hot path.
-    HotPath,
     /// `// audit: merge` — the next fn is a shard-merge function.
     Merge,
     /// `// audit: unit(u)` — the next field/fn carries measurement unit
@@ -102,8 +100,6 @@ pub struct FnItem {
     /// The trait being implemented when the enclosing block is
     /// `impl Trait for Type` (or declared, for `trait Trait` blocks).
     pub trait_name: Option<String>,
-    /// Marked `// audit: hot-path`.
-    pub hot: bool,
     /// Marked `// audit: merge`.
     pub merge: bool,
     /// Unit of the fn's return value, from `// audit: unit(...)`.
@@ -175,9 +171,6 @@ impl FileStructure {
 pub fn parse_directive(text: &str) -> Option<Result<Directive, String>> {
     let body = text.trim_start_matches('/').trim();
     let rest = body.strip_prefix("audit:")?.trim();
-    if rest == "hot-path" {
-        return Some(Ok(Directive::HotPath));
-    }
     if rest == "merge" {
         return Some(Ok(Directive::Merge));
     }
@@ -453,7 +446,6 @@ fn collect_fns(toks: &[Token], owners: &[OwnerRegion], st: &mut FileStructure) {
                     body,
                     owner: region.map(|r| r.owner.clone()),
                     trait_name: region.and_then(|r| r.trait_name.clone()),
-                    hot: false,
                     merge: false,
                     unit: None,
                     in_test: st.in_test(i),
@@ -482,13 +474,6 @@ fn collect_directives(toks: &[Token], st: &mut FileStructure) {
         let trailing = toks[..i].iter().any(|p| !p.is_comment() && p.line == t.line);
         let binds_fn = next_fn_item(toks, i);
         match parsed {
-            Directive::HotPath => match binds_fn {
-                Some(fi) if !trailing => st.fns[fi].hot = true,
-                _ => st.errors.push(SyntaxError {
-                    line: t.line,
-                    msg: "hot-path must be on its own line directly above a fn item".into(),
-                }),
-            },
             Directive::Merge => match binds_fn {
                 Some(fi) if !trailing => st.fns[fi].merge = true,
                 _ => st.errors.push(SyntaxError {
@@ -725,7 +710,7 @@ mod tests {
 
     #[test]
     fn directive_parsing() {
-        assert_eq!(parse_directive("// audit: hot-path"), Some(Ok(Directive::HotPath)));
+        assert_eq!(parse_directive("// audit: merge"), Some(Ok(Directive::Merge)));
         assert_eq!(
             parse_directive("// audit: allow(det-clock) -- wall time only"),
             Some(Ok(Directive::Allow {
@@ -736,15 +721,6 @@ mod tests {
         assert!(parse_directive("// plain comment").is_none());
         assert!(matches!(parse_directive("// audit: allow(x)"), Some(Err(_))));
         assert!(matches!(parse_directive("// audit: frobnicate"), Some(Err(_))));
-    }
-
-    #[test]
-    fn hot_path_binds_through_attributes() {
-        let toks = lex("// audit: hot-path\n#[inline]\npub fn fast(&self) -> u32 { 1 }\nfn slow() {}");
-        let st = analyze(&toks);
-        assert_eq!(st.fns.len(), 2);
-        assert!(st.fns[0].hot && st.fns[0].name == "fast");
-        assert!(!st.fns[1].hot);
     }
 
     #[test]
@@ -797,11 +773,11 @@ fn tail() -> impl Iterator<Item = u32> { 0..1 }
     }
 
     #[test]
-    fn merge_directive_binds_next_fn() {
-        let src = "// audit: merge\npub fn merge(&mut self, o: &S) {}\nfn other() {}";
+    fn merge_directive_binds_through_attributes() {
+        let src = "// audit: merge\n#[inline]\npub fn merge(&mut self, o: &S) {}\nfn other() {}";
         let st = analyze(&lex(src));
         assert!(st.fns[0].merge && !st.fns[1].merge);
-        // Trailing placement is malformed, like hot-path.
+        // Trailing placement is malformed.
         let st = analyze(&lex("fn f() {} // audit: merge"));
         assert_eq!(st.errors.len(), 1);
     }

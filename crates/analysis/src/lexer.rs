@@ -322,9 +322,9 @@ mod tests {
 
     #[test]
     fn comments_preserved_with_lines() {
-        let toks = lex("a\n// audit: hot-path\nb");
+        let toks = lex("a\n// audit: merge\nb");
         assert_eq!(toks[1].kind, TokKind::LineComment);
-        assert_eq!(toks[1].text, "// audit: hot-path");
+        assert_eq!(toks[1].text, "// audit: merge");
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks[2].line, 3);
     }

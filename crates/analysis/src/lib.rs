@@ -13,12 +13,11 @@
 //! * `det-*` — bans `HashMap`/`HashSet` with the default `RandomState`,
 //!   wall-clock reads outside `crates/obs`, ambient entropy, and iteration
 //!   over unordered maps;
-//! * `hot-*` — bans panics and heap allocation in functions annotated
-//!   `// audit: hot-path` (the controller access flow), and keeps the
-//!   annotation closure honest within a file;
-//! * `struct-*` — crate roots must `#![forbid(unsafe_code)]` and
-//!   `#![deny(missing_docs)]`; every pub item in `crates/core` and
-//!   `crates/types` must be documented.
+//! * `hot-*` — bans panics and heap allocation in the hot set: every fn
+//!   the cross-crate call graph ([`graph`]) reaches from the controller
+//!   and per-chunk roots, minus declared cold boundaries;
+//! * `struct-attrs` — crate roots must `#![forbid(unsafe_code)]` and
+//!   `#![deny(missing_docs)]`, so rustc documents every pub item.
 //!
 //! Audited exceptions use `// audit: allow(<rule>) -- <reason>`; the tool
 //! counts and reports them (see [`items`] for the grammar). The CLI lives

@@ -6,16 +6,16 @@
 //!
 //! * `det-*` — determinism: anything that could make two runs of the same
 //!   experiment matrix produce different JSONL bytes;
-//! * `hot-*` — hot-path hygiene: panics and heap allocation in functions
-//!   annotated `// audit: hot-path` (the controller access flow);
+//! * `hot-*` — hot-path hygiene: panics and heap allocation in the hot
+//!   set the call graph computes from the controller/chunk roots;
 //! * `struct-*` — structural conventions every crate must carry.
 
-/// Common std method names never treated as resolvable callees when the
-/// receiver is unknown (`recv.name(…)` / chained calls): the receiver is
-/// usually a std type, and the false-positive cost of matching them
-/// outweighs the closure coverage. Free-fn calls, `self.`-receiver calls
-/// and explicit `Type::name(…)` paths are never skip-listed — they
-/// resolve unambiguously to workspace items.
+/// Common std method names that, when the receiver is unknown
+/// (`recv.name(…)` / chained calls), resolve only to impls of types the
+/// caller's file names: the receiver is usually a std type, so fanning
+/// out to every same-named workspace method would flood the hot set.
+/// Free-fn calls, `self.`-receiver calls and explicit `Type::name(…)`
+/// paths are never affected — they resolve unambiguously.
 pub const CALLEE_SKIP: &[&str] = &[
     "new", "len", "is_empty", "push", "pop", "insert", "remove", "get", "get_mut", "clear",
     "iter", "iter_mut", "next", "clone", "min", "max", "clamp", "map", "and_then", "unwrap_or",
@@ -123,32 +123,40 @@ existing merge discipline applies, or justify with\n\
     },
     Rule {
         id: "hot-panic",
-        summary: "panic/unwrap/expect/assert in an audited hot-path fn",
+        summary: "panic/unwrap/expect/assert in a fn on the computed hot path",
         explain: "\
-Functions annotated `// audit: hot-path` form the per-access controller\n\
-flow (Controller::access, Channel::service, the baseline controllers and\n\
-everything they call). A panic there takes down the whole experiment\n\
-engine mid-matrix, and `unwrap`/`expect` hide invariant assumptions the\n\
-checked build mode should be verifying instead.\n\
+The hot set is every fn the workspace call graph reaches from the hot\n\
+roots: each controller's `access`/`access_batch` (Bumblebee's remap-set\n\
+lookup, hotness-based allocation and movement, every baseline) and the\n\
+per-chunk entry points the simulator drives around them\n\
+(`System::{service, step_batch, plan_and_service}`,\n\
+`BumblebeeController::plan_range`, `splice`, `DramDevice::{access,\n\
+access_chunk}`, `Channel::schedule`, `Workload::fill_batch`). A panic\n\
+there takes down the whole experiment engine mid-matrix, and\n\
+`unwrap`/`expect` hide invariant assumptions the checked build mode\n\
+should be verifying instead.\n\
 \n\
 Flagged inside hot fns: `panic!`, `unreachable!`, `todo!`,\n\
 `unimplemented!`, `assert!`/`assert_eq!`/`assert_ne!`, `.unwrap()`,\n\
 `.expect()`. Not flagged: `debug_assert*` (compiled out in release) and\n\
-anything under `#[cfg(test)]`.\n\
+anything under `#[cfg(test)]`. The finding names the caller the fn was\n\
+reached through.\n\
 \n\
 Fix: restructure so the invariant is a typed impossibility, move the\n\
-check into the `checked` feature's invariant sweep, or justify with\n\
-`// audit: allow(hot-panic) -- <reason>`.",
+check into the `checked` feature's invariant sweep, justify the line\n\
+with `// audit: allow(hot-panic) -- <reason>`, or — when the fn is not\n\
+per-access work at all — declare a cold boundary (see hot-transitive).",
     },
     Rule {
         id: "hot-alloc",
-        summary: "heap allocation in an audited hot-path fn",
+        summary: "heap allocation in a fn on the computed hot path",
         explain: "\
 The PR-4 O(1) overhaul made the steady-state access path allocation\n\
 free: all per-set metadata lives in fixed boxed slices sized at\n\
 construction, and scratch vectors retain capacity across calls. A stray\n\
 `format!` or `Box::new` in the access flow quietly costs more than most\n\
-algorithmic regressions.\n\
+algorithmic regressions. The audited fns are the computed hot set (see\n\
+hot-panic).\n\
 \n\
 Flagged inside hot fns: `Box::new`, `vec![…]`, `format!`,\n\
 `String::new`/`String::from`, `.to_string()`, `.to_owned()`,\n\
@@ -160,58 +168,33 @@ Fix: preallocate at construction, reuse scratch buffers, or justify\n\
 with `// audit: allow(hot-alloc) -- <reason>`.",
     },
     Rule {
-        id: "hot-callee",
-        summary: "hot-path fn calls a same-file fn not marked hot-path",
-        explain: "\
-`// audit: hot-path` coverage is only as good as its transitive\n\
-closure. This rule keeps the closure honest within a file: a call from\n\
-an audited fn to a fn defined in the same file that is not itself\n\
-annotated is flagged, so helpers on the access flow cannot silently\n\
-escape the hot-* rules.\n\
-\n\
-Matched call shapes: `name(…)`, `self.name(…)`, `recv.name(…)` and\n\
-`Self::name(…)` where `name` is a fn defined in the same file. A small\n\
-list of ubiquitous std method names (len, push, get, iter, …) is\n\
-skipped to avoid false positives on std receivers — except on a `self.`\n\
-receiver, which always resolves to this file's impl, so hot-path ring\n\
-buffers and samplers whose methods shadow std names (`push`, `clear`)\n\
-stay inside the closure. Cross-file calls are out of scope (annotate\n\
-the callee in its own file).\n\
-\n\
-Fix: annotate the callee `// audit: hot-path`, or justify the edge with\n\
-`// audit: allow(hot-callee) -- <reason>` (e.g. a cold error branch).",
-    },
-    Rule {
         id: "hot-transitive",
-        summary: "fn reachable from a controller/channel root lacks hot-path",
+        summary: "cold boundary: allow(hot-transitive) prunes the computed hot set",
         explain: "\
-The workspace pass builds a cross-crate call graph (free calls, `self.`\n\
-and `Self::` methods, `Type::name` paths, and receiver-typed method\n\
-calls resolved against every impl whose type or trait is named in the\n\
-caller's file) and walks it from the audited hot roots: every\n\
-`access`/`access_batch` on a controller — any `impl` whose type name\n\
-contains `Controller` or that implements `HybridMemoryController` — and\n\
-`Channel::schedule`. Unlike `hot-callee`, which keeps the closure honest\n\
-one file at a time, this rule checks the *true* transitive closure: any\n\
-fn reachable from a root that is not annotated `// audit: hot-path` is\n\
-flagged at its definition site, with the edge it was reached through.\n\
+The hot-* rules need no annotations: the workspace pass builds a\n\
+cross-crate call graph (free calls, `self.` and `Self::` methods,\n\
+`Type::name` paths, and receiver-typed method calls resolved against\n\
+every impl whose type or trait is named in the caller's file; a\n\
+std-named method such as `push` or `get` resolves only to impls of\n\
+types the caller's file names) and walks it, cycle-tolerant, from the\n\
+hot roots listed under hot-panic. Every non-test fn with a body that\n\
+the walk reaches is in the hot set.\n\
 \n\
-The walk is cycle-tolerant (recursive controller helpers terminate) and\n\
-respects declared cold boundaries: a fn carrying\n\
-`// audit: allow(hot-transitive) -- <reason>` is excused and the walk\n\
-does not descend into its callees — use it for genuinely cold exits\n\
-from the access flow (epoch rollover, trace finalization, error paths).\n\
-\n\
-Fix: annotate the fn `// audit: hot-path` (subjecting it to hot-panic /\n\
-hot-alloc / hot-callee), or declare the cold boundary with an allow.",
+This rule id names the one way out: a fn carrying\n\
+`// audit: allow(hot-transitive) -- <reason>` is a declared cold\n\
+boundary — it is left out of the hot set and the walk does not descend\n\
+into its callees. Use it for genuinely cold exits from the access flow\n\
+(epoch rollover, the checked-build invariant sweep, error paths). The\n\
+rule reports no findings of its own; the boundaries show up in the\n\
+exception report like every other allow.",
     },
     Rule {
         id: "merge-commutative",
         summary: "shard-merge fn uses an order-dependent operation",
         explain: "\
 Fns annotated `// audit: merge` fold one partial state into another\n\
-(CtrlStats::merge, EpochPartial::absorb, TrafficMatrix::merge,\n\
-merge_shard_events, …). The set-range lookup sums its ranges' counters\n\
+(CtrlStats::merge, EpochPartial::absorb, merge_shard_events,\n\
+SpanTree::merge, span::absorb). The set-range lookup sums its ranges' counters\n\
 and epoch partials in range order, but the byte-identity contract at\n\
 any `--shards` width additionally requires every merge step to be\n\
 commutative and associative — then the fold's result is independent of\n\
@@ -279,33 +262,22 @@ the field's line.",
         explain: "\
 Every crate root (src/lib.rs) must carry `#![forbid(unsafe_code)]` and\n\
 `#![deny(missing_docs)]`. The first makes the no-unsafe policy\n\
-machine-checked forever; the second keeps rustc enforcing API docs so\n\
-this tool only has to double-check. A crate that genuinely cannot deny\n\
+machine-checked forever; the second makes rustc the one enforcement\n\
+point for API docs on every pub item. A crate that genuinely cannot deny\n\
 missing_docs may carry `#![allow(missing_docs)]` plus\n\
 `// audit: allow(struct-attrs) -- <reason>` at the top of the root.",
-    },
-    Rule {
-        id: "struct-pub-docs",
-        summary: "undocumented pub item in crates/core or crates/types",
-        explain: "\
-crates/core and crates/types are the paper-facing API surface: every\n\
-`pub` item (fn, struct, enum, trait, mod, const, static, type, field)\n\
-there must have a doc comment. This overlaps with rustc's missing_docs\n\
-lint by design — the audit pass still reports it so the finding shows\n\
-up in `audit_tool check` output with the rest, and keeps working if a\n\
-root ever switches missing_docs off.\n\
-\n\
-Not flagged: `pub use` re-exports, `pub(crate)`/`pub(super)` items,\n\
-and anything under `#[cfg(test)]`.",
     },
     Rule {
         id: "audit-syntax",
         summary: "malformed // audit: directive",
         explain: "\
-An `// audit:` comment that does not parse as `hot-path` or\n\
+An `// audit:` comment that does not parse as `merge`, `unit(<u>)` or\n\
 `allow(<rule>) -- <reason>` is reported rather than ignored: a typo'd\n\
-annotation that silently does nothing is worse than none at all. This\n\
-rule cannot be allow()ed away — fix the directive.",
+annotation that silently does nothing is worse than none at all. That\n\
+includes a leftover `hot-path` marker — the hot set is computed from\n\
+the call graph, so the marker would only mislead. An `allow` of an\n\
+unknown rule id is reported too. This rule cannot be allow()ed away —\n\
+fix the directive.",
     },
 ];
 

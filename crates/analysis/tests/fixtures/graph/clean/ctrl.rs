@@ -1,7 +1,7 @@
 //! Graph corpus, controller file: the hot root calls a free fn defined
 //! in another file (`tune`) and fans out through a `dyn Backend`
 //! receiver; the tuner calls back into `spin` below, closing a
-//! cross-file cycle.
+//! cross-file cycle. Nothing on the flow panics or allocates.
 
 /// Relay controller (fixture) — `access` is a hot root.
 pub struct RelayController {
@@ -11,7 +11,6 @@ pub struct RelayController {
 
 impl RelayController {
     /// Hot entry point.
-    // audit: hot-path
     pub fn access(&mut self, addr: u64) -> u64 {
         self.hits += tune(addr);
         self.hits + self.backend.serve()
@@ -19,7 +18,6 @@ impl RelayController {
 }
 
 /// Free helper the tuner calls back into — the cycle edge.
-// audit: hot-path
 pub fn spin(v: u64) -> u64 {
     if v == 0 {
         0
@@ -29,7 +27,6 @@ pub fn spin(v: u64) -> u64 {
 }
 
 /// Drift correction applied by the tuner, reached only cross-file.
-// audit: hot-path
 pub fn drift(addr: u64) -> u64 {
-    addr >> 3
+    addr.checked_shr(3).unwrap_or(0)
 }

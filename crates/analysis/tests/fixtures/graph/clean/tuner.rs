@@ -2,7 +2,6 @@
 //! the `Backend` impl the controller's `dyn` call fans out to.
 
 /// Cross-file tuning step; calls back into the controller file.
-// audit: hot-path
 pub fn tune(addr: u64) -> u64 {
     spin(addr & 3) + drift(addr)
 }
@@ -13,8 +12,7 @@ pub struct Tuner {
 }
 
 impl Backend for Tuner {
-    /// On the access flow via trait fan-out, annotated.
-    // audit: hot-path
+    /// On the access flow via trait fan-out; counts in place.
     fn serve(&mut self) -> u64 {
         self.served += 1;
         self.served

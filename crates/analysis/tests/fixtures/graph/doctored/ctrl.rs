@@ -1,6 +1,6 @@
 //! Graph corpus, doctored controller file: `drift` is reached only from
-//! the tuner file, so the per-file `hot-callee` rule never sees the call
-//! — only the workspace call graph can flag it.
+//! the tuner file, so only the workspace call graph puts its panic on
+//! the hot path.
 
 /// Relay controller (fixture) — `access` is a hot root.
 pub struct RelayController {
@@ -10,7 +10,6 @@ pub struct RelayController {
 
 impl RelayController {
     /// Hot entry point.
-    // audit: hot-path
     pub fn access(&mut self, addr: u64) -> u64 {
         self.hits += tune(addr);
         self.hits + self.backend.serve()
@@ -18,7 +17,6 @@ impl RelayController {
 }
 
 /// Free helper the tuner calls back into — the cycle edge.
-// audit: hot-path
 pub fn spin(v: u64) -> u64 {
     if v == 0 {
         0
@@ -27,7 +25,7 @@ pub fn spin(v: u64) -> u64 {
     }
 }
 
-/// Drift correction applied by the tuner; never annotated.
-pub fn drift(addr: u64) -> u64 { //~ hot-transitive
-    addr >> 3
+/// Drift correction applied by the tuner, reached only cross-file.
+pub fn drift(addr: u64) -> u64 {
+    addr.checked_shr(3).unwrap() //~ hot-panic
 }

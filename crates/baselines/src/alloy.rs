@@ -40,18 +40,15 @@ impl MapPredictor {
         MapPredictor { counters: vec![4; 1024] }
     }
 
-    // audit: hot-path
     fn idx(addr: u64) -> usize {
         ((addr >> 12) % 1024) as usize
     }
 
     /// `true` = predict hit.
-    // audit: hot-path
     fn predict(&self, addr: u64) -> bool {
         self.counters[Self::idx(addr)] >= 4
     }
 
-    // audit: hot-path
     fn train(&mut self, addr: u64, hit: bool) {
         let c = &mut self.counters[Self::idx(addr)];
         if hit {
@@ -96,7 +93,6 @@ impl AlloyCache {
         &mut self.telemetry
     }
 
-    // audit: hot-path
     fn index(&self, line_addr: u64) -> (usize, u64) {
         let (tag, idx) = self.line_div.div_rem(line_addr);
         (idx as usize, tag)
@@ -104,7 +100,6 @@ impl AlloyCache {
 }
 
 impl AlloyCache {
-    // audit: hot-path
     fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
         let addr = self.faults.translate(req.addr, plan);
         let line_addr = addr.0 / LINE_BYTES;
@@ -203,7 +198,6 @@ impl AlloyCache {
 }
 
 impl HybridMemoryController for AlloyCache {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         self.access_inner(req, plan);
         crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
@@ -230,7 +224,6 @@ impl HybridMemoryController for AlloyCache {
         &self.stats
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         Some(self.overfetch.overfetch_ratio())
     }

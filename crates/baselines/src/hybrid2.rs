@@ -115,7 +115,6 @@ impl Hybrid2 {
         self.mode_switch_bytes
     }
 
-    // audit: hot-path
     fn cache_hbm_addr(&self, set: usize, way: u32, block: u32) -> Addr {
         Addr(
             (set as u64 * u64::from(CACHE_WAYS) + u64::from(way)) * GROUP_BYTES
@@ -123,24 +122,20 @@ impl Hybrid2 {
         )
     }
 
-    // audit: hot-path
     fn pom_hbm_addr(&self, group: usize) -> Addr {
         Addr(self.chbm_bytes + (group as u64 * GROUP_BYTES) % (self.geometry.hbm_bytes() - self.chbm_bytes))
     }
 
-    // audit: hot-path
     fn pom_locate(&self, addr: Addr) -> (usize, u32) {
         let group2k = addr.0 / GROUP_BYTES;
         let (vgroup, frame) = self.frame_div.div_rem(group2k);
         (frame as usize, self.member_div.rem(vgroup) as u32)
     }
 
-    // audit: hot-path
     fn dram_group_addr(&self, addr: Addr) -> Addr {
         Addr(self.dram_div.rem(addr.0) & !(GROUP_BYTES - 1))
     }
 
-    // audit: hot-path
     fn serve(&mut self, plan: &mut AccessPlan, op: DeviceOp, is_read: bool) {
         if is_read {
             plan.critical.push(op);
@@ -156,7 +151,6 @@ impl Hybrid2 {
         &mut self.telemetry
     }
 
-    // audit: hot-path
     fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
         plan.metadata_cycles += self.metadata.lookup(plan, req.addr);
         let addr = self.faults.translate(req.addr, plan);
@@ -327,7 +321,6 @@ impl Hybrid2 {
 }
 
 impl HybridMemoryController for Hybrid2 {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         self.access_inner(req, plan);
         crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
@@ -352,7 +345,6 @@ impl HybridMemoryController for Hybrid2 {
         &self.stats
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         Some(self.overfetch.overfetch_ratio())
     }
@@ -367,7 +359,6 @@ impl Hybrid2 {
     /// round trip the paper's motivation describes: write the group back to
     /// DRAM, evict it from cHBM, swap the mHBM resident out and migrate the
     /// group in from DRAM.
-    // audit: hot-path
     fn promote(
         &mut self,
         plan: &mut AccessPlan,
@@ -437,13 +428,11 @@ const LINES_PER_BLOCK: u64 = BLOCK_BYTES / 64;
 
 /// Over-fetch key for the 64 B line containing `addr` within
 /// (`group`, `block`) — over-fetching is measured at 64 B granularity.
-// audit: hot-path
 fn line_key(group: u64, block: u32, addr: memsim_types::Addr) -> u64 {
     (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK
         + (addr.0 % BLOCK_BYTES) / 64
 }
 
-// audit: hot-path
 fn fetch_block_lines(t: &mut OverfetchTracker, group: u64, block: u32) {
     let base = (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK;
     for l in 0..LINES_PER_BLOCK {
@@ -451,7 +440,6 @@ fn fetch_block_lines(t: &mut OverfetchTracker, group: u64, block: u32) {
     }
 }
 
-// audit: hot-path
 fn evict_block_lines(t: &mut OverfetchTracker, group: u64, block: u32) {
     let base = (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK;
     for l in 0..LINES_PER_BLOCK {

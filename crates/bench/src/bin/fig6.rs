@@ -1,6 +1,7 @@
 //! Regenerates the paper's Fig. 6: normalized IPC for each block/page
 //! configuration of the design-space exploration.
 
+use bumblebee_bench::usage_exit;
 use memsim_sim::figures::fig6;
 
 fn main() {
@@ -12,8 +13,8 @@ fn main() {
         opts.cfg.scale,
         engine.jobs()
     );
-    let (points, results) =
-        fig6::run_with(&engine, &opts.cfg, &opts.profiles).expect("valid design-space geometry");
+    let (points, results) = fig6::run_with(&engine, &opts.cfg, &opts.profiles)
+        .unwrap_or_else(|e| usage_exit(&format!("--scale {}: design-space geometry: {e}", opts.cfg.scale)));
     opts.write_jsonl("fig6", &results.jsonl_lines());
     opts.write_telemetry("fig6", &results);
     println!("{}", fig6::render(&points));

@@ -18,8 +18,12 @@
 //!   or 4096);
 //!
 //! `--jobs`, `--shards` and `--batch` are pure performance knobs: every
-//! output is byte-identical at any value. A zero or non-numeric value of
-//! one of them, or of its variable, exits 2 with one line of explanation.
+//! output is byte-identical at any value.
+//!
+//! Bad input never starts a run: a zero or non-numeric number (of any
+//! flag above, `--trace-sample` or a `BUMBLEBEE_*` variable), an unknown
+//! workload, a scale whose geometry is invalid, or a missing flag value
+//! exits 2 with one `error:` line.
 //!
 //! * `--metrics` — record per-run observability (epoch time-series, event
 //!   trace, device histograms) and write `<figure>.epochs.jsonl`,
@@ -41,6 +45,7 @@
 use memsim_analysis::exitcode;
 use memsim_sim::{Engine, MetricsConfig, ResultSet, RunConfig};
 use memsim_trace::SpecProfile;
+use memsim_types::Geometry;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -145,12 +150,9 @@ impl HarnessOpts {
 ///
 /// # Errors
 ///
-/// A `--jobs`, `--shards` or `--batch` value that is missing, zero or not
-/// a number is a one-line error naming the flag.
-///
-/// # Panics
-///
-/// Panics with a usage message on other malformed flags.
+/// A one-line error naming the flag or variable: a missing value, a
+/// zero or non-numeric number, an unknown `--workloads` name, or a
+/// `--scale` whose paper geometry is invalid.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpts, String> {
     let mut scale = 16u64;
     let mut accesses: Option<u64> = None;
@@ -167,21 +169,10 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpts
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => scale = 1,
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--scale needs a number"));
-            }
-            "--accesses" => {
-                accesses = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--accesses needs a number")),
-                );
-            }
+            "--scale" => scale = positive_flag("--scale", it.next())? as u64,
+            "--accesses" => accesses = Some(positive_flag("--accesses", it.next())? as u64),
             "--workloads" => {
-                let list = it.next().unwrap_or_else(|| panic!("--workloads needs a list"));
+                let list = it.next().ok_or("--workloads needs a comma-separated list")?;
                 names = Some(list.split(',').map(str::to_string).collect());
             }
             "--jobs" => jobs = Some(positive_flag("--jobs", it.next())?),
@@ -189,34 +180,34 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpts
             "--batch" => batch = Some(positive_flag("--batch", it.next())?),
             "--metrics" => metrics = true,
             "--trace-sample" => {
-                trace_sample = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&r| r > 0)
-                        .unwrap_or_else(|| panic!("--trace-sample needs a positive rate")),
-                );
+                trace_sample = Some(positive_flag("--trace-sample", it.next())? as u64);
                 metrics = true; // records ride on the metrics pipeline
             }
             "--spans" => spans = true,
-            "--out" => {
-                out = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| panic!("--out needs a directory")),
-                ));
-            }
+            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?)),
             other => rest.push(other.to_string()),
         }
     }
     if trace_sample.is_none() {
-        trace_sample = trace_sample_env(std::env::var("BUMBLEBEE_TRACE_SAMPLE").ok().as_deref());
+        trace_sample = trace_sample_env(std::env::var("BUMBLEBEE_TRACE_SAMPLE").ok().as_deref())?;
         if trace_sample.is_some() {
             metrics = true; // same implication as the --trace-sample flag
         }
     }
+    Geometry::try_paper(scale).map_err(|e| format!("--scale {scale}: {e}"))?;
     let default_accesses = if scale == 1 { 2_000_000 } else { 400_000 };
     let cfg = RunConfig::at_scale(scale, accesses.unwrap_or(default_accesses));
+    let table2 = SpecProfile::table2();
     let profiles = match names {
-        Some(ns) => ns.iter().map(|n| SpecProfile::named(n)).collect(),
-        None => SpecProfile::table2(),
+        Some(ns) => ns
+            .iter()
+            .map(|n| {
+                table2.iter().find(|p| p.name == n).cloned().ok_or_else(|| {
+                    format!("--workloads: unknown Table II benchmark `{n}`")
+                })
+            })
+            .collect::<Result<_, _>>()?,
+        None => table2,
     };
     Ok(HarnessOpts {
         cfg,
@@ -232,8 +223,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpts
     })
 }
 
-/// The positive integer value of a performance flag (`--jobs`,
-/// `--shards`, `--batch`).
+/// The positive integer value of a numeric flag (`--jobs`, `--shards`,
+/// `--batch`, `--scale`, `--accesses`, `--trace-sample`).
 ///
 /// # Errors
 ///
@@ -259,19 +250,19 @@ pub fn usage_exit(msg: &str) -> ! {
 /// errors, the same contract `BUMBLEBEE_JOBS` / `BUMBLEBEE_SHARDS`
 /// enforce — a silently ignored typo would silently disable tracing.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with the offending value on empty, zero or non-numeric input.
-fn trace_sample_env(value: Option<&str>) -> Option<u64> {
-    let v = value?;
+/// The offending value on empty, zero or non-numeric input.
+fn trace_sample_env(value: Option<&str>) -> Result<Option<u64>, String> {
+    let Some(v) = value else { return Ok(None) };
     match v.trim().parse::<u64>() {
-        Ok(r) if r > 0 => Some(r),
-        _ => panic!("BUMBLEBEE_TRACE_SAMPLE={v:?}: expected a positive integer sampling rate"),
+        Ok(r) if r > 0 => Ok(Some(r)),
+        _ => Err(format!("BUMBLEBEE_TRACE_SAMPLE={v:?}: expected a positive integer sampling rate")),
     }
 }
 
-/// Parses `std::env::args()` (skipping the binary name); a malformed
-/// performance flag exits 2 with one line ([`usage_exit`]).
+/// Parses `std::env::args()` (skipping the binary name); bad input exits
+/// 2 with one line ([`usage_exit`]).
 pub fn parse_env() -> HarnessOpts {
     parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e))
 }
@@ -328,34 +319,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--trace-sample needs a positive rate")]
-    fn zero_trace_sample_panics() {
-        opts(&["--trace-sample", "0"]);
+    fn zero_trace_sample_is_an_error() {
+        assert_eq!(
+            try_opts(&["--trace-sample", "0"]).unwrap_err(),
+            "--trace-sample needs a positive number, got \"0\""
+        );
     }
 
     #[test]
     fn trace_sample_env_parses_strictly() {
-        assert_eq!(trace_sample_env(None), None, "unset defers to the flag");
-        assert_eq!(trace_sample_env(Some("64")), Some(64));
-        assert_eq!(trace_sample_env(Some(" 8 ")), Some(8), "whitespace tolerated");
+        assert_eq!(trace_sample_env(None), Ok(None), "unset defers to the flag");
+        assert_eq!(trace_sample_env(Some("64")), Ok(Some(64)));
+        assert_eq!(trace_sample_env(Some(" 8 ")), Ok(Some(8)), "whitespace tolerated");
     }
 
     #[test]
-    #[should_panic(expected = "BUMBLEBEE_TRACE_SAMPLE=\"0\": expected a positive integer")]
-    fn trace_sample_env_rejects_zero() {
-        trace_sample_env(Some("0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_TRACE_SAMPLE=\"\": expected a positive integer")]
-    fn trace_sample_env_rejects_empty() {
-        trace_sample_env(Some(""));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_TRACE_SAMPLE=\"often\": expected a positive integer")]
-    fn trace_sample_env_rejects_non_numeric() {
-        trace_sample_env(Some("often"));
+    fn trace_sample_env_rejects_zero_empty_and_non_numeric() {
+        for v in ["0", "", "often"] {
+            assert_eq!(
+                trace_sample_env(Some(v)).unwrap_err(),
+                format!("BUMBLEBEE_TRACE_SAMPLE={v:?}: expected a positive integer sampling rate")
+            );
+        }
     }
 
     #[test]
@@ -397,9 +382,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--scale needs a number")]
-    fn bad_scale_panics() {
-        opts(&["--scale", "abc"]);
+    fn bad_scale_is_an_error() {
+        assert_eq!(try_opts(&["--scale", "abc"]).unwrap_err(), "--scale needs a positive number, got \"abc\"");
+        assert_eq!(try_opts(&["--scale", "0"]).unwrap_err(), "--scale needs a positive number, got \"0\"");
+        let too_small = try_opts(&["--scale", "100000"]).unwrap_err();
+        assert!(too_small.starts_with("--scale 100000: "), "{too_small}");
+    }
+
+    #[test]
+    fn bad_accesses_and_workloads_are_errors() {
+        assert_eq!(try_opts(&["--accesses", "0"]).unwrap_err(), "--accesses needs a positive number, got \"0\"");
+        assert_eq!(
+            try_opts(&["--workloads", "mcf,nope"]).unwrap_err(),
+            "--workloads: unknown Table II benchmark `nope`"
+        );
+        assert_eq!(try_opts(&["--out"]).unwrap_err(), "--out needs a directory");
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The performance flags (`--jobs`, `--shards`, `--batch`) and their
-//! environment variables reject zero and non-numbers with exit status 2
-//! and exactly one line on stderr, before any simulation starts.
+//! Bad run-configuration input — the performance flags (`--jobs`,
+//! `--shards`, `--batch`) and their environment variables, the run
+//! volume and scale, workload names and the trace-sampling rate — exits
+//! with status 2 and exactly one line on stderr, before any simulation
+//! starts.
 
 use std::process::Command;
 
@@ -47,6 +49,16 @@ fn bad_batch_exits_2_with_one_line() {
     assert_usage_error(&["--batch", "0"], &[], "--batch");
     assert_usage_error(&["--batch", "-1"], &[], "--batch");
     assert_usage_error(&[], &[("BUMBLEBEE_BATCH", "0")], "BUMBLEBEE_BATCH");
+}
+
+#[test]
+fn bad_run_config_exits_2_with_one_line() {
+    assert_usage_error(&["--workloads", "nope"], &[], "unknown Table II benchmark `nope`");
+    assert_usage_error(&["--scale", "0"], &[], "--scale");
+    assert_usage_error(&["--scale", "100000"], &[], "--scale 100000");
+    assert_usage_error(&["--accesses", "0"], &[], "--accesses");
+    assert_usage_error(&["--trace-sample", "0"], &[], "--trace-sample");
+    assert_usage_error(&[], &[("BUMBLEBEE_TRACE_SAMPLE", "0")], "BUMBLEBEE_TRACE_SAMPLE");
 }
 
 #[test]

@@ -127,7 +127,6 @@ impl BumblebeeController {
     }
 
     /// Whether this controller owns `set`.
-    // audit: hot-path
     fn owns(&self, set: u64) -> bool {
         (self.set_lo..self.set_hi).contains(&set)
     }
@@ -224,7 +223,6 @@ impl BumblebeeController {
     }
 
     /// Resolves a wrapped address's page into `(set, original slot)`.
-    // audit: hot-path
     fn slot(&self, page: PageIndex) -> (u64, u16) {
         let set = self.geometry.set_of_page(page);
         let o = match self.geometry.slot_of_page(page) {
@@ -239,7 +237,6 @@ impl BumblebeeController {
     /// off-chip capacity: the global footprint is high) and the cooldown
     /// depend only on the stream, so every range controller walking the
     /// same stream agrees on each round.
-    // audit: hot-path
     fn count_access(&mut self, wrapped: u64) -> bool {
         self.accesses += 1;
         if !self.cfg.hmf_enabled
@@ -254,7 +251,6 @@ impl BumblebeeController {
 
     /// The metadata lookup and movement-credit grant of owned access `gi`
     /// to owned set index `i`, at the head of `plan`.
-    // audit: hot-path
     fn begin_access(&mut self, gi: u64, addr: Addr, i: usize, plan: &mut AccessPlan) {
         self.credit[i] = (self.credit[i] + MOVEMENT_CREDIT_PER_ACCESS).min(MOVEMENT_CREDIT_CAP);
         let spills_before = plan.background.len();
@@ -268,7 +264,6 @@ impl BumblebeeController {
     /// `num_sets`), in window order, into `plan`. With `segs`, each
     /// flushed set's ops are also recorded as a segment fired by chunk
     /// access `at`, so [`crate::range::splice`] can order them.
-    // audit: hot-path
     fn flush_round(&mut self, plan: &mut AccessPlan, mut segs: Option<(&mut Vec<FlushSeg>, u32)>) {
         // Only the (rare) actual flush rounds are spanned.
         let _swap = span::span(Phase::MigrationSwap);
@@ -312,7 +307,6 @@ impl BumblebeeController {
     }
 
     /// The demand access itself on owned set `set_id`.
-    // audit: hot-path
     fn access_set(
         &mut self,
         set_id: u64,
@@ -337,12 +331,11 @@ impl BumblebeeController {
         };
         let _served: ServedFrom = self.sets[i].access(o, block, line, kind, &mut ctx);
         #[cfg(feature = "checked")]
-        self.checked_tick(); // audit: allow(hot-callee) -- compiled out unless --features checked; the sweep is read-only and off the per-access path
+        self.checked_tick();
     }
 
     /// Plans one access in place: lookup, flush round, demand access and
     /// the epoch tick, all into `plan`.
-    // audit: hot-path
     fn access_inline(&mut self, addr: Addr, wrapped: Addr, set_id: u64, o: u16, kind: AccessKind, plan: &mut AccessPlan) {
         // audit: allow(hot-panic) -- a foreign-set access is a caller bug; fail fast at the boundary
         assert!(self.owns(set_id), "access to set {set_id} outside [{}, {})", self.set_lo, self.set_hi);
@@ -355,7 +348,7 @@ impl BumblebeeController {
         self.access_set(set_id, o, wrapped, kind, plan);
         if self.telemetry.tick() {
             let _sample = span::span(Phase::EpochSample);
-            let gauges = self.gauges(); // audit: allow(hot-callee) -- runs once per epoch boundary, not per access
+            let gauges = self.gauges();
             self.telemetry.sample(&self.stats, gauges);
         }
     }
@@ -368,7 +361,6 @@ impl BumblebeeController {
     /// flush schedule; [`crate::range::splice`] then reassembles the
     /// chunk. Events carry the global access index; epochs are never
     /// sampled here — the caller sums [`epoch_partial`](Self::epoch_partial)s.
-    // audit: hot-path
     pub fn plan_range(&mut self, batch: &AccessBatch, out: &mut RangePlans) {
         out.begin_chunk();
         let RangePlans { plans, owned, splits, flush, segs, .. } = out;
@@ -457,7 +449,6 @@ impl BumblebeeController {
 impl HybridMemoryController for BumblebeeController {
     /// Plans one access. A controller owning only some sets accepts only
     /// accesses to them (and flushes only its own window sets).
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         let wrapped = self.geometry.wrap_flat(req.addr);
         let (set_id, o) = self.slot(self.geometry.page_of(wrapped));
@@ -472,7 +463,6 @@ impl HybridMemoryController for BumblebeeController {
     /// generator makes long, and hoisting the page→set resolution out of
     /// the per-access loop while the set's PRT/BLE/hot-table metadata
     /// stays cache-resident.
-    // audit: hot-path
     fn access_batch(&mut self, batch: &AccessBatch, plans: &mut PlanBuffer) {
         plans.begin_chunk();
         let n = batch.len();
@@ -521,7 +511,6 @@ impl HybridMemoryController for BumblebeeController {
         &self.stats
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         self.overfetch.as_ref().map(OverfetchTracker::overfetch_ratio)
     }

@@ -130,7 +130,6 @@ impl RangePlans {
     }
 
     /// Recycles the buffers for the next chunk.
-    // audit: hot-path
     pub(crate) fn begin_chunk(&mut self) {
         self.plans.begin_chunk();
         self.owned.clear();
@@ -150,7 +149,6 @@ impl RangePlans {
 /// # Panics
 ///
 /// If some access of the chunk has no owner among `parts`.
-// audit: hot-path
 pub fn splice(parts: &mut [RangePlans], len: usize, out: &mut PlanBuffer) {
     out.begin_chunk();
     for part in parts.iter_mut() {
@@ -210,7 +208,6 @@ pub fn splice(parts: &mut [RangePlans], len: usize, out: &mut PlanBuffer) {
 
 /// The part whose next unspliced flush segment belongs to access `j` and
 /// comes first in window order, if any.
-// audit: hot-path
 fn next_segment(parts: &[RangePlans], j: u32) -> Option<usize> {
     (0..parts.len())
         .filter_map(|p| {
@@ -221,7 +218,6 @@ fn next_segment(parts: &[RangePlans], j: u32) -> Option<usize> {
         .map(|(_, p)| p)
 }
 
-// audit: hot-path
 fn slice(ops: &[DeviceOp], (start, end): (u32, u32)) -> &[DeviceOp] {
     &ops[start as usize..end as usize]
 }

@@ -55,12 +55,10 @@ pub struct SetCtx<'a> {
 }
 
 impl SetCtx<'_> {
-    // audit: hot-path
     fn hbm_addr(&self, frame: u32, block: u32) -> Addr {
         self.geometry.hbm_device_addr(self.set_id, frame, BlockIndex(block))
     }
 
-    // audit: hot-path
     fn dram_addr(&self, dram_slot: u16, block: u32) -> Addr {
         let page = self.geometry.page_of_slot(self.set_id, PageSlot::OffChip(u32::from(dram_slot)));
         self.geometry.dram_device_addr(page, BlockIndex(block))
@@ -68,14 +66,12 @@ impl SetCtx<'_> {
 
     /// Emits a trace event when telemetry is recording; the closure keeps
     /// payload construction entirely off the disabled path.
-    // audit: hot-path
     fn emit(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.event(ev());
         }
     }
 
-    // audit: hot-path
     fn push(&mut self, critical: bool, op: DeviceOp) {
         if critical {
             self.plan.critical.push(op);
@@ -87,13 +83,11 @@ impl SetCtx<'_> {
     /// Globally unique over-fetch key for one 64 B line of (set, original
     /// slot, block). Over-fetching is measured at 64 B granularity, like
     /// the paper's "percentage of data brought in HBM but unused".
-    // audit: hot-path
     fn of_key(&self, o: u16, block: u32, line: u32) -> u64 {
         (((self.set_id << 16) | u64::from(o)) << 14) | (u64::from(block) << 6) | u64::from(line)
     }
 
     /// Records that every 64 B line of `block` was brought into HBM.
-    // audit: hot-path
     fn of_fetched_block(&mut self, o: u16, block: u32) {
         let lines = (self.geometry.block_bytes() / 64) as u32;
         if let Some(t) = self.overfetch.as_deref_mut() {
@@ -106,7 +100,6 @@ impl SetCtx<'_> {
         }
     }
 
-    // audit: hot-path
     fn of_used(&mut self, o: u16, block: u32, line: u32) {
         let key = self.of_key(o, block, line);
         if let Some(t) = self.overfetch.as_deref_mut() {
@@ -115,7 +108,6 @@ impl SetCtx<'_> {
     }
 
     /// Drains every 64 B line of `block` from the tracker.
-    // audit: hot-path
     fn of_evicted_block(&mut self, o: u16, block: u32) {
         let lines = (self.geometry.block_bytes() / 64) as u32;
         if let Some(t) = self.overfetch.as_deref_mut() {
@@ -202,7 +194,6 @@ impl RemapSet {
     }
 
     /// The set's hot table (inspection/testing).
-    // audit: hot-path
     pub fn hot(&self) -> &HotTable {
         &self.hot
     }
@@ -217,12 +208,10 @@ impl RemapSet {
         self.cached_in[usize::from(o)]
     }
 
-    // audit: hot-path
     fn n(&self) -> u16 {
         self.bles.len() as u16
     }
 
-    // audit: hot-path
     fn m(&self) -> u16 {
         self.prt.m()
     }
@@ -230,7 +219,6 @@ impl RemapSet {
     /// Maintains the frame-mode counts and free-frame bitmap across a BLE
     /// mode transition. Called by the `ble_*` wrappers below — BLE mode
     /// must never be changed without going through them.
-    // audit: hot-path
     fn note_mode_change(&mut self, f: usize, old: FrameMode, new: FrameMode) {
         if old == new {
             return;
@@ -247,35 +235,30 @@ impl RemapSet {
         }
     }
 
-    // audit: hot-path
     fn ble_begin_chbm(&mut self, f: usize, o: u16) {
         let old = self.bles[f].mode;
         self.bles[f].begin_chbm(o);
         self.note_mode_change(f, old, FrameMode::Chbm);
     }
 
-    // audit: hot-path
     fn ble_begin_mhbm(&mut self, f: usize, o: u16, accessed: Option<u32>) {
         let old = self.bles[f].mode;
         self.bles[f].begin_mhbm(o, accessed);
         self.note_mode_change(f, old, FrameMode::Mhbm);
     }
 
-    // audit: hot-path
     fn ble_switch_to_mhbm(&mut self, f: usize) {
         let old = self.bles[f].mode;
         self.bles[f].switch_to_mhbm();
         self.note_mode_change(f, old, FrameMode::Mhbm);
     }
 
-    // audit: hot-path
     fn ble_switch_to_chbm(&mut self, f: usize, blocks_per_page: u32) {
         let old = self.bles[f].mode;
         self.bles[f].switch_to_chbm(blocks_per_page);
         self.note_mode_change(f, old, FrameMode::Chbm);
     }
 
-    // audit: hot-path
     fn ble_reset(&mut self, f: usize) {
         let old = self.bles[f].mode;
         self.bles[f].reset();
@@ -284,7 +267,6 @@ impl RemapSet {
 
     /// HBM occupancy ratio Rh: frames in use (cHBM or mHBM) over `n`.
     /// O(1): frame-mode counts are maintained at every transition.
-    // audit: hot-path
     pub fn rh(&self) -> f64 {
         f64::from(self.n_chbm + self.n_mhbm) / f64::from(self.n())
     }
@@ -293,7 +275,6 @@ impl RemapSet {
     /// set; fixed-ratio designs use the occupancy of the partition the
     /// decision would consume, so a small cHBM slice saturates (and starts
     /// threshold-gating) independently of the mHBM side.
-    // audit: hot-path
     fn rh_for(&self, for_chbm: bool, quota: Option<u32>) -> f64 {
         let Some(q) = quota else { return self.rh() };
         let (used, cap) = if for_chbm {
@@ -309,7 +290,6 @@ impl RemapSet {
     }
 
     /// The spatial-locality degree `SL = Na − Nn − Nc` (paper Eq. 1).
-    // audit: hot-path
     pub fn spatial_locality(&self, blocks_per_page: u32, fraction: f64) -> i32 {
         let mut na = 0i32;
         let mut nn = 0i32;
@@ -331,20 +311,17 @@ impl RemapSet {
     }
 
     /// Number of frames currently in cHBM mode. O(1).
-    // audit: hot-path
     pub fn chbm_frames(&self) -> u32 {
         u32::from(self.n_chbm)
     }
 
     /// Number of frames currently in mHBM mode. O(1).
-    // audit: hot-path
     pub fn mhbm_frames(&self) -> u32 {
         u32::from(self.n_mhbm)
     }
 
     /// Handles one demand access to original slot `o`, block `block`,
     /// 64 B line `line` within the block.
-    // audit: hot-path
     pub fn access(
         &mut self,
         o: u16,
@@ -386,7 +363,6 @@ impl RemapSet {
 
     // ---- Fig. 5 paths -------------------------------------------------
 
-    // audit: hot-path
     fn access_mhbm(
         &mut self,
         o: u16,
@@ -415,7 +391,6 @@ impl RemapSet {
         ServedFrom::Hbm
     }
 
-    // audit: hot-path
     fn access_offchip_home(
         &mut self,
         o: u16,
@@ -476,7 +451,6 @@ impl RemapSet {
         ServedFrom::OffChip
     }
 
-    // audit: hot-path
     fn serve_offchip(&mut self, home: u16, block: u32, kind: AccessKind, ctx: &mut SetCtx<'_>) {
         let addr = ctx.dram_addr(home, block);
         let op = match kind {
@@ -490,7 +464,6 @@ impl RemapSet {
     // ---- §III-E data movement triggered by access ----------------------
 
     #[allow(clippy::too_many_arguments)]
-    // audit: hot-path
     fn movement_decision(
         &mut self,
         o: u16,
@@ -561,7 +534,6 @@ impl RemapSet {
     /// The hotness threshold `T` as seen by a movement decision: the
     /// smallest counter among resident HBM pages (paper §IV-A), restricted
     /// to the partition the decision would displace under a fixed ratio.
-    // audit: hot-path
     fn threshold_for(&self, for_chbm: bool, quota: Option<u32>) -> u32 {
         if quota.is_none() {
             return self.hot.threshold();
@@ -579,7 +551,6 @@ impl RemapSet {
 
     /// Frames eligible for cHBM under a fixed ratio are `[0, q)`; for mHBM
     /// `[q, n)`. Adaptive mode uses any frame.
-    // audit: hot-path
     fn frame_eligible(&self, f: u16, for_chbm: bool, quota: Option<u32>) -> bool {
         match quota {
             None => true,
@@ -597,7 +568,6 @@ impl RemapSet {
     /// ratio, on the right side of the partition). Walks only the set bits
     /// of the free-frame bitmap — in steady state (no free frames) this is
     /// four word tests.
-    // audit: hot-path
     fn find_free_frame(&self, for_chbm: bool, quota: Option<u32>) -> Option<u16> {
         self.free_frames
             .iter_set(u32::from(self.n()))
@@ -607,7 +577,6 @@ impl RemapSet {
             })
     }
 
-    // audit: hot-path
     fn try_migrate_to_mhbm(
         &mut self,
         o: u16,
@@ -665,7 +634,6 @@ impl RemapSet {
     }
 
     #[allow(clippy::too_many_arguments)]
-    // audit: hot-path
     fn try_cache_block(
         &mut self,
         o: u16,
@@ -691,7 +659,6 @@ impl RemapSet {
 
     /// Fetches one block of off-chip page `o` into cHBM frame `fi` (the
     /// copy arrives clean; only cHBM write hits dirty it).
-    // audit: hot-path
     fn fill_block(&mut self, o: u16, fi: u8, home: u16, block: u32, ctx: &mut SetCtx<'_>) {
         let f = usize::from(fi);
         let block_bytes = ctx.geometry.block_bytes() as u32;
@@ -721,7 +688,6 @@ impl RemapSet {
 
     /// §III-E access rule 2: a cHBM page whose blocks are mostly cached
     /// switches to mHBM, fetching only the missing blocks.
-    // audit: hot-path
     fn maybe_switch_to_mhbm(&mut self, o: u16, fi: u8, home: u16, ctx: &mut SetCtx<'_>) {
         let f = usize::from(fi);
         let bpp = ctx.geometry.blocks_per_page();
@@ -797,7 +763,6 @@ impl RemapSet {
     /// mHBM→cHBM switches (rule 2) do not free a frame by themselves — the
     /// converted page is re-inserted at the MRU position and only a later
     /// pop truly evicts it — so the loop runs up to `2n + 1` pops.
-    // audit: hot-path
     fn make_room(&mut self, for_chbm: bool, quota: Option<u32>, ctx: &mut SetCtx<'_>) -> Option<u16> {
         // Entries whose frame cannot satisfy this request (wrong side of a
         // fixed partition) are skipped and re-inserted afterwards — evicting
@@ -833,7 +798,6 @@ impl RemapSet {
     }
 
     /// The HBM frame currently holding page `ple` (resident or cached).
-    // audit: hot-path
     fn frame_of_entry(&self, ple: u16) -> Option<u16> {
         if let Some(f) = self.cached_in[usize::from(ple)] {
             return Some(u16::from(f));
@@ -849,7 +813,6 @@ impl RemapSet {
     /// blocks written back, frame freed); mHBM pages take the buffered
     /// cHBM second chance when the HMF rules are on, otherwise a full page
     /// writeback. Returns `true` when a frame was freed.
-    // audit: hot-path
     fn handle_popped_entry(
         &mut self,
         entry: crate::hot_table::HotEntry,
@@ -920,7 +883,6 @@ impl RemapSet {
 
     /// HBM→DRAM page copy helper. `mhbm` records whether the HBM frame
     /// being read out is a memory-mode frame (traffic accounting only).
-    // audit: hot-path
     fn page_copy(
         &self,
         frame: u16,
@@ -954,7 +916,6 @@ impl RemapSet {
     /// pressure_flush, capacity eviction on allocation → writeback), so
     /// the traffic breakdown attributes the same bytes to the right
     /// mechanism.
-    // audit: hot-path
     fn evict_chbm_frame(&mut self, fi: u8, cause: TrafficCause, ctx: &mut SetCtx<'_>) {
         let f = usize::from(fi);
         debug_assert_eq!(self.bles[f].mode, FrameMode::Chbm);
@@ -995,7 +956,6 @@ impl RemapSet {
 
     /// Rule 3: evict the zombie page when the LRU HBM entry and its counter
     /// sit unchanged for `zombie_window` set accesses under high Rh.
-    // audit: hot-path
     fn zombie_tick(&mut self, ctx: &mut SetCtx<'_>) {
         let head = self.hot.lru_hbm().map(|e| (e.ple, e.counter));
         if let Some((ple, _)) = head.filter(|_| head == self.zombie_head && self.rh() >= ctx.cfg.high_rh) {
@@ -1049,7 +1009,6 @@ impl RemapSet {
 
     /// Rule 4: every slot OS-occupied — swap a hot off-chip page with the
     /// coldest mHBM page.
-    // audit: hot-path
     fn try_swap(&mut self, o: u16, block: u32, hotness: u32, ctx: &mut SetCtx<'_>) {
         if hotness <= self.hot.threshold() {
             ctx.stats.threshold_rejections += 1;
@@ -1124,7 +1083,6 @@ impl RemapSet {
 
     /// Rule 5: flush every cHBM frame of this set to off-chip DRAM and
     /// refrain from creating new cHBM pages for a window.
-    // audit: hot-path
     pub fn pressure_flush(&mut self, ctx: &mut SetCtx<'_>) {
         for fi in 0..self.bles.len() {
             if self.bles[fi].mode == FrameMode::Chbm {
@@ -1154,7 +1112,6 @@ impl RemapSet {
 
     // ---- §III-D page allocation -----------------------------------------
 
-    // audit: hot-path
     fn allocate(&mut self, o: u16, ctx: &mut SetCtx<'_>) {
         ctx.stats.allocations += 1;
         let set = ctx.set_id;
@@ -1249,7 +1206,6 @@ impl RemapSet {
         self.page_fault_alloc(o, ctx);
     }
 
-    // audit: hot-path
     fn page_fault_alloc(&mut self, o: u16, ctx: &mut SetCtx<'_>) {
         self.page_faults += 1;
         // OS swap penalty (~10 µs at 3.6 GHz) for faulting the page in.

@@ -77,7 +77,6 @@ impl Channel {
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
-    // audit: hot-path
     pub fn schedule(
         &mut self,
         cfg: &DeviceConfig,

@@ -71,7 +71,6 @@ pub struct CpuTimings {
 impl DeviceConfig {
     /// Converts device clocks to CPU cycles (rounding up).
     #[inline]
-    // audit: hot-path
     // audit: unit(cycles)
     pub fn to_cpu_cycles(&self, device_cycles: u64) -> u64 {
         (device_cycles * self.cpu_mhz).div_ceil(self.device_mhz)
@@ -96,7 +95,6 @@ impl DeviceConfig {
 
     /// CPU cycles for the data burst of `bytes` on one channel.
     #[inline]
-    // audit: hot-path
     // audit: unit(cycles)
     pub fn burst_cpu_cycles(&self, bytes: u32) -> u64 {
         let dev = u64::from(bytes).div_ceil(u64::from(self.bus_bytes_per_cycle));

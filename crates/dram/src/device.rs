@@ -99,7 +99,6 @@ impl DramDevice {
     /// different channels proceed in parallel, chunks on the same channel
     /// serialize on its data bus. Addresses wrap modulo the device capacity
     /// so synthetic traces larger than the device remain valid.
-    // audit: hot-path
     pub fn access(&mut self, addr: Addr, bytes: u32, kind: OpKind, now: u64) -> u64 {
         debug_assert!(bytes > 0, "zero-byte access");
         let cap = self.cfg.capacity_bytes;
@@ -126,7 +125,6 @@ impl DramDevice {
         done
     }
 
-    // audit: hot-path
     fn access_chunk(&mut self, addr: Addr, bytes: u32, kind: OpKind, now: u64) -> u64 {
         let (chunk, in_chunk) = self.q_interleave.div_rem(addr.0);
         let (local_chunk, channel) = self.q_channels.div_rem(chunk);

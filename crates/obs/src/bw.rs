@@ -6,8 +6,7 @@
 //!
 //! * [`TrafficMatrix`] — per-device-class
 //!   ([`TrafficDevice`]: mHBM / cHBM / off-chip) per-cause byte and op
-//!   counters, pure integers with a commutative [`merge`](TrafficMatrix::merge)
-//!   so independent accumulators can be summed;
+//!   counters, pure integers;
 //! * [`TrafficAccum`] — the matrix plus per-class op-size
 //!   [`Pow2Histogram`]s and a per-access DRAM-op fan-out (MLP proxy)
 //!   histogram;
@@ -31,9 +30,6 @@ pub const NUM_CAUSES: usize = TrafficCause::ALL.len();
 pub const NUM_DEVICE_CLASSES: usize = TrafficDevice::ALL.len();
 
 /// Per-device-class, per-cause byte and op counters.
-///
-/// Integers only: merging matrices with [`merge`](Self::merge) is
-/// commutative and associative, so a sum is independent of grouping.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficMatrix {
     bytes: [[u64; NUM_CAUSES]; NUM_DEVICE_CLASSES],
@@ -48,7 +44,6 @@ impl TrafficMatrix {
 
     /// Records one transaction of `bytes` on `device` attributed to
     /// `cause`.
-    // audit: hot-path
     #[inline]
     pub fn record(&mut self, device: TrafficDevice, cause: TrafficCause, bytes: u64) {
         self.bytes[device.index()][cause.index()] += bytes;
@@ -84,17 +79,6 @@ impl TrafficMatrix {
     // audit: unit(bytes)
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().flatten().sum()
-    }
-
-    /// Adds every counter of `other` into `self` (commutative merge).
-    // audit: merge
-    pub fn merge(&mut self, other: &TrafficMatrix) {
-        for (dst, src) in self.bytes.iter_mut().flatten().zip(other.bytes.iter().flatten()) {
-            *dst += src;
-        }
-        for (dst, src) in self.ops.iter_mut().flatten().zip(other.ops.iter().flatten()) {
-            *dst += src;
-        }
     }
 }
 
@@ -156,7 +140,6 @@ impl TrafficAccum {
     }
 
     /// Records one device transaction.
-    // audit: hot-path
     #[inline]
     pub fn record_op(&mut self, op: &DeviceOp) {
         let device = op.device();
@@ -167,7 +150,6 @@ impl TrafficAccum {
     /// Records every transaction of one access's plan plus its fan-out
     /// sample. Call exactly once per access, after the controller filled
     /// the plan.
-    // audit: hot-path
     pub fn record_plan(&mut self, plan: &AccessPlan) {
         for op in plan.critical.iter().chain(&plan.background) {
             self.record_op(op);
@@ -179,7 +161,6 @@ impl TrafficAccum {
     /// batched plan buffer: the same per-access transaction fold plus
     /// fan-out sample, taken from the entry's op slices instead of an
     /// owned [`AccessPlan`].
-    // audit: hot-path
     pub fn record_view(&mut self, critical: &[DeviceOp], background: &[DeviceOp]) {
         for op in critical.iter().chain(background) {
             self.record_op(op);
@@ -189,21 +170,10 @@ impl TrafficAccum {
 
     /// Records a drain plan (end-of-run controller flush): transactions
     /// only, no fan-out sample — drains are not accesses.
-    // audit: hot-path
     pub fn record_drain(&mut self, plan: &AccessPlan) {
         for op in plan.critical.iter().chain(&plan.background) {
             self.record_op(op);
         }
-    }
-
-    /// Adds every counter of `other` into `self` (commutative merge).
-    // audit: merge
-    pub fn merge(&mut self, other: &TrafficAccum) {
-        self.matrix.merge(&other.matrix);
-        for (dst, src) in self.size.iter_mut().zip(&other.size) {
-            dst.merge(src);
-        }
-        self.mlp.merge(&other.mlp);
     }
 }
 
@@ -267,19 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_merge_is_a_field_wise_sum() {
-        let mut a = TrafficMatrix::new();
-        a.record(TrafficDevice::MHbm, TrafficCause::MigrationPromote, 100);
-        let mut b = TrafficMatrix::new();
-        b.record(TrafficDevice::MHbm, TrafficCause::MigrationPromote, 23);
-        b.record(TrafficDevice::CHbm, TrafficCause::ZombieEvict, 7);
-        a.merge(&b);
-        assert_eq!(a.bytes(TrafficDevice::MHbm, TrafficCause::MigrationPromote), 123);
-        assert_eq!(a.ops(TrafficDevice::MHbm, TrafficCause::MigrationPromote), 2);
-        assert_eq!(a.bytes(TrafficDevice::CHbm, TrafficCause::ZombieEvict), 7);
-    }
-
-    #[test]
     fn accum_records_plans_and_reconciles() {
         let mut acc = TrafficAccum::new();
         let mut plan = AccessPlan::new();
@@ -316,28 +273,5 @@ mod tests {
         // And the HBM side reports its class split in the message.
         let err = reconcile(&acc.matrix, 128, 4096).unwrap_err();
         assert!(err.contains("hbm cause-sum 64 != device total 128"), "{err}");
-    }
-
-    #[test]
-    fn accum_merge_matches_single_stream() {
-        let ops = [
-            op(Mem::Hbm, 64, TrafficCause::DemandRead, true),
-            op(Mem::Hbm, 2048, TrafficCause::MigrationDemote, false),
-            op(Mem::OffChip, 2048, TrafficCause::PressureFlush, false),
-            op(Mem::OffChip, 64, TrafficCause::Metadata, false),
-        ];
-        let mut global = TrafficAccum::new();
-        let mut shards = [TrafficAccum::new(), TrafficAccum::new()];
-        for (i, o) in ops.iter().enumerate() {
-            let mut plan = AccessPlan::new();
-            plan.critical.push(*o);
-            global.record_plan(&plan);
-            shards[i % 2].record_plan(&plan);
-        }
-        let mut merged = TrafficAccum::new();
-        // Merge in either order: commutative.
-        merged.merge(&shards[1]);
-        merged.merge(&shards[0]);
-        assert_eq!(merged, global);
     }
 }

@@ -19,7 +19,6 @@ use memsim_types::AccessPath;
 /// same mixer the trace PRNG and the over-fetch hasher use — hashing the
 /// access sequence number gives an unbiased, deterministic sample of the
 /// stream that is independent of shard or job partitioning.
-// audit: hot-path
 #[inline]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -33,7 +32,6 @@ fn mix64(mut z: u64) -> u64 {
 ///
 /// Purely a function of `(seq, rate)` — every shard and job width selects
 /// the same accesses.
-// audit: hot-path
 #[inline]
 pub fn sampled(seq: u64, rate: u64) -> bool {
     rate != 0 && mix64(seq).is_multiple_of(rate)
@@ -85,7 +83,6 @@ impl LatRing {
     }
 
     /// Appends a record, evicting (and counting) the oldest when full.
-    // audit: hot-path
     pub fn push(&mut self, rec: AccessRecord) {
         if self.buf.len() < self.capacity {
             self.buf.push(rec);
@@ -97,7 +94,6 @@ impl LatRing {
     }
 
     /// Records held.
-    // audit: hot-path
     pub fn len(&self) -> usize {
         self.buf.len()
     }

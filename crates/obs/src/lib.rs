@@ -25,12 +25,12 @@
 //! * [`lat`] — sampled per-access request tracing: a deterministic
 //!   SplitMix64 sampler over the global access sequence, cycle-domain
 //!   [`lat::AccessRecord`]s (path + lookup/queue/service/stall), a bounded
-//!   [`lat::LatRing`] with shard-merge, and the [`lat::LatCollector`]
+//!   [`lat::LatRing`], and the [`lat::LatCollector`]
 //!   report aggregator;
 //! * [`bw`] — cause-attributed traffic accounting: the per-device-class
 //!   per-cause [`bw::TrafficMatrix`], the [`bw::TrafficAccum`] op-size /
-//!   MLP histograms, cumulative [`bw::BwPoint`] epoch snapshots with a
-//!   commutative shard merge, and the hard [`bw::reconcile`] check
+//!   MLP histograms, cumulative [`bw::BwPoint`] epoch snapshots, and the
+//!   hard [`bw::reconcile`] check
 //!   against the devices' undifferentiated byte totals;
 //! * [`span`] — a scoped wall-clock span profiler (thread-local RAII
 //!   guards aggregated into a per-phase tree), answering *where simulator

@@ -45,11 +45,9 @@ pub trait MetricsRecorder: std::fmt::Debug + Send {
 
     /// Receives one event, stamped with the controller access counter and
     /// its emission rank within that access.
-    // audit: hot-path
     fn record_event(&mut self, _ev: &TimedEvent) {}
 
     /// Receives one epoch snapshot.
-    // audit: hot-path
     fn record_epoch(&mut self, _snap: &EpochSnapshot) {}
 
     /// Downcasts into the collecting [`RunRecorder`], when this is one.
@@ -108,12 +106,10 @@ impl MetricsRecorder for RunRecorder {
         self.interval
     }
 
-    // audit: hot-path
     fn record_event(&mut self, ev: &TimedEvent) {
         self.ring.push(*ev);
     }
 
-    // audit: hot-path
     fn record_epoch(&mut self, snap: &EpochSnapshot) {
         self.epochs.push(snap.clone());
     }
@@ -163,7 +159,6 @@ impl Telemetry {
 
     /// `Some(self)` when recording, else `None` — lets callers thread an
     /// `Option<&mut Telemetry>` so disabled paths skip event construction.
-    // audit: hot-path
     pub fn active(&mut self) -> Option<&mut Telemetry> {
         if self.rec.is_some() {
             Some(self)
@@ -189,7 +184,6 @@ impl Telemetry {
 
     /// Sets the emission rank stamped on the following events (see
     /// [`TimedEvent::rank`]).
-    // audit: hot-path
     pub fn set_rank(&mut self, rank: u32) {
         self.rank = rank;
     }
@@ -197,7 +191,6 @@ impl Telemetry {
     /// Counts one access; `true` when an epoch boundary was reached and
     /// the caller should gather gauges and [`sample`](Self::sample).
     #[inline]
-    // audit: hot-path
     pub fn tick(&mut self) -> bool {
         if self.rec.is_none() {
             return false;
@@ -207,7 +200,6 @@ impl Telemetry {
     }
 
     /// Emits one event stamped with the current access count.
-    // audit: hot-path
     pub fn event(&mut self, ev: TraceEvent) {
         if let Some(r) = self.rec.as_deref_mut() {
             r.record_event(&TimedEvent { seq: self.accesses, rank: self.rank, event: ev });
@@ -217,7 +209,6 @@ impl Telemetry {
     /// Emits an epoch snapshot from the cumulative `stats` and the
     /// caller's instantaneous `gauges`, keeping the boundary state for the
     /// next delta.
-    // audit: hot-path
     pub fn sample(&mut self, stats: &CtrlStats, gauges: EpochGauges) {
         let Some(r) = self.rec.as_deref_mut() else { return };
         let snap = EpochSnapshot::from_delta(self.epoch, self.accesses, stats, &self.last, gauges);

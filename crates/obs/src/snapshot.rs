@@ -30,7 +30,6 @@ pub struct EpochGauges {
 
 impl EpochGauges {
     /// The octile bucket an occupancy ratio falls into.
-    // audit: hot-path
     pub fn occ_bucket(rh: f64) -> usize {
         ((rh * OCC_BUCKETS as f64) as usize).min(OCC_BUCKETS - 1)
     }
@@ -63,7 +62,6 @@ impl EpochSnapshot {
     /// Builds a snapshot from the cumulative stats at this boundary
     /// (`now`), the stats at the previous boundary (`prev`), and the
     /// instantaneous gauges.
-    // audit: hot-path
     pub fn from_delta(
         epoch: u64,
         accesses: u64,

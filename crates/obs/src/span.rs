@@ -174,7 +174,6 @@ impl SpanTree {
         (0..self.nodes.len()).find(|&i| self.path(i) == path).map(|i| &self.nodes[i])
     }
 
-    // audit: hot-path
     fn find_or_create(&mut self, parent: Option<usize>, phase: Phase) -> usize {
         if let Some(i) =
             self.nodes.iter().position(|n| n.parent == parent && n.phase == phase)
@@ -237,7 +236,6 @@ thread_local! {
 }
 
 /// Whether a profiling session is active on this thread.
-// audit: hot-path
 pub fn profiling() -> bool {
     ENABLED.with(StdCell::get)
 }
@@ -332,7 +330,6 @@ pub struct SpanGuard {
 /// Enters `phase`. When no session is active this is one thread-local flag
 /// check and the returned guard is inert.
 #[inline]
-// audit: hot-path
 pub fn span(phase: Phase) -> SpanGuard {
     if !profiling() {
         return SpanGuard { armed: false };

@@ -168,7 +168,6 @@ impl<C> System<C> {
     /// never mutates controller state — see DESIGN.md §11. The caller
     /// must cut chunks so no epoch boundary or warm-up snapshot point
     /// falls strictly inside one.
-    // audit: hot-path
     pub fn service(
         &mut self,
         batch: &AccessBatch,
@@ -266,7 +265,6 @@ impl<C> System<C> {
         }
     }
 
-    // audit: hot-path
     fn device(&mut self, mem: Mem) -> &mut DramDevice {
         match mem {
             Mem::Hbm => &mut self.hbm,
@@ -317,7 +315,6 @@ impl<C: HybridMemoryController> System<C> {
     /// (CtrlLookup), then [`service`](Self::service) executes them in
     /// strict stream order (DramService) — cycles and every observability
     /// stream are byte-identical at any chunk width.
-    // audit: hot-path
     pub fn step_batch(
         &mut self,
         batch: &AccessBatch,
@@ -329,7 +326,6 @@ impl<C: HybridMemoryController> System<C> {
         self.plan_and_service(batch, plans, base_seq, ring, rate);
     }
 
-    // audit: hot-path
     fn plan_and_service(
         &mut self,
         batch: &AccessBatch,

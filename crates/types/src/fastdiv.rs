@@ -45,7 +45,6 @@ impl QuickDiv {
 
     /// `v / divisor`.
     #[inline]
-    // audit: hot-path
     pub fn div(self, v: u64) -> u64 {
         if self.shift == NO_SHIFT {
             v / self.divisor
@@ -56,7 +55,6 @@ impl QuickDiv {
 
     /// `v % divisor`.
     #[inline]
-    // audit: hot-path
     pub fn rem(self, v: u64) -> u64 {
         if self.shift == NO_SHIFT {
             v % self.divisor
@@ -67,7 +65,6 @@ impl QuickDiv {
 
     /// `(v / divisor, v % divisor)`.
     #[inline]
-    // audit: hot-path
     pub fn div_rem(self, v: u64) -> (u64, u64) {
         (self.div(v), self.rem(v))
     }

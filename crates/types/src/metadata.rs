@@ -114,7 +114,6 @@ impl MetadataModel {
     ///
     /// Spills are deterministic (every k-th lookup misses) so simulations are
     /// reproducible without a controller-side RNG.
-    // audit: hot-path
     pub fn lookup(&mut self, plan: &mut AccessPlan, around: Addr) -> u32 {
         self.lookups += 1;
         if self.sram_hit_fraction >= 1.0 {
@@ -148,7 +147,6 @@ impl MetadataModel {
     /// predicate from the index alone lets controllers that each own some
     /// remapping sets charge exactly the lookups of their own accesses
     /// while reproducing the global schedule, with no shared counter.
-    // audit: hot-path
     pub fn lookup_at(&self, index: u64, plan: &mut AccessPlan, around: Addr) -> u32 {
         if self.sram_hit_fraction >= 1.0 {
             return self.sram_cycles;

@@ -46,7 +46,6 @@ impl CtrlStats {
     }
 
     /// Total demand requests observed.
-    // audit: hot-path
     // audit: unit(accesses)
     pub fn total_accesses(&self) -> u64 {
         self.hbm_hits + self.offchip_serves
@@ -70,7 +69,6 @@ impl CtrlStats {
     }
 
     /// HBM hit rate over all demand requests (0 when idle).
-    // audit: hot-path
     pub fn hbm_hit_rate(&self) -> f64 {
         let total = self.total_accesses();
         if total == 0 {
@@ -177,7 +175,6 @@ impl OverfetchTracker {
     ///
     /// Re-fetching a resident chunk counts the new bytes but keeps its
     /// used/unused state.
-    // audit: hot-path
     pub fn fetched(&mut self, key: u64, bytes: u32) {
         self.fetched_bytes += u64::from(bytes);
         self.resident
@@ -187,7 +184,6 @@ impl OverfetchTracker {
     }
 
     /// Records a demand touch of chunk `key` (no-op if not resident).
-    // audit: hot-path
     pub fn used(&mut self, key: u64) {
         if let Some((_, used)) = self.resident.get_mut(&key) {
             *used = true;
@@ -196,7 +192,6 @@ impl OverfetchTracker {
 
     /// Records the eviction of chunk `key`; unused chunks add to the wasted
     /// byte count.
-    // audit: hot-path
     pub fn evicted(&mut self, key: u64) {
         if let Some((bytes, used)) = self.resident.remove(&key) {
             if !used {
@@ -225,7 +220,6 @@ impl OverfetchTracker {
     }
 
     /// `wasted / fetched` (0 when nothing was fetched).
-    // audit: hot-path
     pub fn overfetch_ratio(&self) -> f64 {
         if self.fetched_bytes == 0 {
             0.0

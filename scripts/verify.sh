@@ -21,8 +21,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== audit: workspace pass vs committed baseline (audit_tool check) =="
 # Hard gate: the two-pass auditor (crates/analysis) runs every rule —
-# per-file det-*/hot-*/struct-* plus the workspace call-graph, merge-
-# commutativity, unit-domain and counter-reconciliation passes — and
+# per-file det-*/struct-attrs/merge-commutativity plus the workspace
+# hot-set (hot-panic/hot-alloc over the computed call-graph reach),
+# unit-domain and counter-reconciliation passes — and
 # ratchets the findings against results/audit_baseline.json. New findings
 # fail; entries that no longer reproduce fail too (delete them from the
 # baseline so the bar only moves down). Regenerate after intentional
@@ -43,11 +44,18 @@ fn doctored() -> usize {
 }
 RS
 cat > "$audit_smoke/crates/sim/src/transitive.rs" <<'RS'
-//! Doctored self-test input: an unannotated controller entry point must
-//! trip the workspace hot-transitive pass.
-pub struct SmokeController(u64);
+//! Doctored self-test input: the controller entry point calls a helper
+//! in a second file; only the computed call-graph reach puts that helper
+//! on the hot path, where its unwrap must trip hot-panic.
+pub struct SmokeController(Vec<u64>);
 impl SmokeController {
-    pub fn access(&mut self, a: u64) -> u64 { self.0 += a; self.0 }
+    pub fn access(&mut self, a: u64) -> u64 { smoke_lookup(&self.0, a) }
+}
+RS
+cat > "$audit_smoke/crates/sim/src/lookup.rs" <<'RS'
+//! Doctored self-test input: reached only from SmokeController::access.
+pub fn smoke_lookup(slots: &[u64], a: u64) -> u64 {
+    *slots.get(a as usize).unwrap()
 }
 RS
 cat > "$audit_smoke/crates/sim/src/merge.rs" <<'RS'
@@ -80,11 +88,15 @@ pub struct SmokeCounters {
     pub orphaned: u64,
 }
 RS
-for doctored in crates/sim/src/det.rs crates/sim/src/transitive.rs \
+# Each entry is one audited corpus: the hot-path case is two files.
+for doctored in crates/sim/src/det.rs \
+                "crates/sim/src/transitive.rs crates/sim/src/lookup.rs" \
                 crates/sim/src/merge.rs crates/sim/src/units.rs \
                 crates/obs/src/counters.rs; do
+  corpus=()
+  for f in $doctored; do corpus+=("$audit_smoke/$f"); done
   if cargo run --release -q -p memsim-analysis --bin audit_tool -- \
-    check --root "$audit_smoke" "$audit_smoke/$doctored" \
+    check --root "$audit_smoke" "${corpus[@]}" \
     >/dev/null 2>&1; then
     echo "FAIL: audit_tool did not flag doctored $doctored" >&2
     rm -rf "$audit_smoke"
