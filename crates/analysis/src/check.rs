@@ -128,8 +128,6 @@ impl AuditReport {
 /// Path-derived facts that change which rules apply to a file.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileClass {
-    /// Inside crates/obs — the one crate allowed to read wall clocks.
-    pub in_obs: bool,
     /// One of the two audited parallelism modules (the engine's matrix
     /// executor and the set-shard worker pipeline) — the only places
     /// allowed to touch `std::thread`.
@@ -143,7 +141,6 @@ impl FileClass {
     pub fn of(rel: &str) -> FileClass {
         let unix = rel.replace('\\', "/");
         FileClass {
-            in_obs: unix.starts_with("crates/obs/"),
             threads_allowed: unix == "crates/sim/src/engine.rs"
                 || unix == "crates/sim/src/shard.rs",
             is_crate_root: unix.ends_with("src/lib.rs"),
@@ -169,7 +166,7 @@ pub fn check_source(rel: &str, src: &str) -> (Vec<Finding>, FileStructure) {
 fn file_rules(rel: &str, toks: &[Token], st: &FileStructure, raw: &mut Vec<(usize, Finding)>) {
     let class = FileClass::of(rel);
     det_hashmap(rel, toks, st, raw);
-    det_clock(rel, class, toks, st, raw);
+    det_clock(rel, toks, st, raw);
     det_entropy(rel, toks, st, raw);
     det_unordered_iter(rel, toks, st, raw);
     det_thread(rel, class, toks, st, raw);
@@ -322,16 +319,7 @@ fn generic_args_missing_hasher(toks: &[Token], open: usize, is_map: bool) -> boo
     commas < if is_map { 2 } else { 1 }
 }
 
-fn det_clock(
-    rel: &str,
-    class: FileClass,
-    toks: &[Token],
-    st: &FileStructure,
-    out: &mut Vec<(usize, Finding)>,
-) {
-    if class.in_obs {
-        return;
-    }
+fn det_clock(rel: &str, toks: &[Token], st: &FileStructure, out: &mut Vec<(usize, Finding)>) {
     for (i, t) in toks.iter().enumerate() {
         if (t.is_ident("Instant") || t.is_ident("SystemTime"))
             && !st.in_test(i)
@@ -345,7 +333,7 @@ fn det_clock(
                     "det-clock",
                     rel,
                     t.line,
-                    format!("{}::now() outside crates/obs", t.text),
+                    format!("{}::now() reads the wall clock", t.text),
                 ),
             ));
         }
@@ -985,10 +973,10 @@ mod tests {
     }
 
     #[test]
-    fn clock_scoped_to_obs() {
+    fn clock_flagged_in_every_crate() {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(rules_hit("crates/sim/src/e.rs", src), vec![("det-clock", 1)]);
-        assert!(rules_hit("crates/obs/src/span.rs", src).is_empty());
+        assert_eq!(rules_hit("crates/obs/src/recorder.rs", src), vec![("det-clock", 1)]);
     }
 
     #[test]

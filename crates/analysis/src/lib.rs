@@ -39,7 +39,7 @@ pub mod units;
 pub use check::{check_source, check_workspace, AuditReport, Finding};
 
 /// Process exit-code conventions shared by every workspace CLI tool
-/// (`audit_tool`, `bench_tool`, `trace_tool`, `bench_harness`).
+/// (`audit_tool`, `trace_tool` and the figure binaries).
 ///
 /// * [`OK`](exitcode::OK) — clean run, nothing to report;
 /// * [`FINDINGS`](exitcode::FINDINGS) — the tool ran correctly and found

@@ -56,17 +56,17 @@ or justify with `// audit: allow(det-hashmap) -- <reason>`.",
     },
     Rule {
         id: "det-clock",
-        summary: "Instant::now/SystemTime::now outside crates/obs",
+        summary: "Instant::now/SystemTime::now (wall-clock reads)",
         explain: "\
-Wall-clock reads are inherently nondeterministic. All timing telemetry\n\
-is supposed to flow through crates/obs (span profiler, engine telemetry)\n\
-where it is kept out of the deterministic result fields; a clock read\n\
-anywhere else tends to leak into output or, worse, into control flow.\n\
+Wall-clock reads are inherently nondeterministic. The simulator's only\n\
+timing is the engine's wall-time telemetry, which it keeps out of the\n\
+deterministic result fields; a clock read anywhere else tends to leak\n\
+into output or, worse, into control flow. Wall-clock benchmarking lives\n\
+in perfbench, outside the audited workspace.\n\
 \n\
-Flagged: `Instant::now` and `SystemTime::now` in any crate other than\n\
-crates/obs. Wall-time measurement sites that only feed telemetry fields\n\
-excluded from determinism diffs carry\n\
-`// audit: allow(det-clock) -- <reason>`.",
+Flagged: `Instant::now` and `SystemTime::now` in every audited crate.\n\
+Wall-time measurement sites that only feed telemetry fields excluded\n\
+from determinism diffs carry `// audit: allow(det-clock) -- <reason>`.",
     },
     Rule {
         id: "det-entropy",
@@ -193,9 +193,9 @@ exception report like every other allow.",
         summary: "shard-merge fn uses an order-dependent operation",
         explain: "\
 Fns annotated `// audit: merge` fold one partial state into another\n\
-(CtrlStats::merge, EpochPartial::absorb, merge_shard_events,\n\
-SpanTree::merge, span::absorb). The set-range lookup sums its ranges' counters\n\
-and epoch partials in range order, but the byte-identity contract at\n\
+(CtrlStats::merge, EpochPartial::absorb, merge_shard_events). The\n\
+set-range lookup sums its ranges' counters and epoch partials in range\n\
+order, but the byte-identity contract at\n\
 any `--shards` width additionally requires every merge step to be\n\
 commutative and associative — then the fold's result is independent of\n\
 how the sets were split in the first place.\n\
@@ -219,11 +219,11 @@ updates, or justify with `// audit: allow(merge-commutative) -- <reason>`.",
         explain: "\
 The simulator keeps four integer domains in bare u64 fields: `cycles`\n\
 (simulated DRAM time), `bytes` (traffic), `accesses` (event counts) and\n\
-`ns` (wall-clock profiler time). `// audit: unit(<domain>)` annotations\n\
+`ns` (wall-clock time). `// audit: unit(<domain>)` annotations\n\
 on fields and fns put their *names* in a workspace-wide unit table;\n\
 this rule then flags `+`, `-`, compound adds and comparisons whose two\n\
 operands resolve to different annotated domains — adding bytes to\n\
-cycles, or comparing span wall-ns against sim cycles — in crates/core,\n\
+cycles, or comparing wall-clock ns against sim cycles — in crates/core,\n\
 crates/dram, crates/obs and crates/sim.\n\
 \n\
 The model is name-keyed and lexical: operands resolve through field\n\

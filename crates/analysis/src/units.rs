@@ -3,10 +3,10 @@
 //!
 //! The simulator mixes four integer domains — `cycles` (simulated DRAM
 //! time), `bytes` (traffic), `accesses` (event counts) and `ns`
-//! (wall-clock profiler time) — all stored as bare `u64`s. Nothing in the
+//! (wall-clock time) — all stored as bare `u64`s. Nothing in the
 //! type system stops `total_cycles + total_bytes`, and the one historical
-//! near-miss (comparing span wall-ns against sim cycles in a bandwidth
-//! figure) motivated annotating the domains explicitly.
+//! near-miss (comparing profiler wall-ns against sim cycles in a
+//! bandwidth figure) motivated annotating the domains explicitly.
 //!
 //! The model is deliberately name-keyed and lexical: an annotation
 //! `// audit: unit(cycles)` on a field or fn puts that *name* in the

@@ -7,11 +7,11 @@ use memsim_sim::figures::tables;
 use memsim_trace::SpecProfile;
 
 fn main() {
-    let opts = bumblebee_bench::parse_env();
+    let (opts, hierarchy) = bumblebee_bench::parse_env_selecting(&["--hierarchy"]);
     let rows = tables::table2_with(&opts.engine(), &opts.cfg);
     opts.write_jsonl("table2", &tables::table2_jsonl(&rows));
     println!("{}", tables::render_table2(&rows));
-    if opts.rest.iter().any(|a| a == "--hierarchy") {
+    if hierarchy.is_some() {
         let mpki = tables::hierarchy_mpki(&opts.cfg, &SpecProfile::mcf(), 100_000);
         println!("mcf miss stream replayed through Table I hierarchy: {mpki:.1} MPKI");
     }

@@ -71,9 +71,8 @@ fn get_f64(row: &[(String, JsonValue)], key: &str) -> f64 {
     get(row, key).and_then(JsonValue::as_f64).unwrap_or(0.0)
 }
 
-/// `summarize`: line counts by `kind`, event counts by event name, the
-/// per-cell drop totals of `trace_summary` lines, and the span-profiler
-/// volume/overhead of `span_summary` lines.
+/// `summarize`: line counts by `kind`, event counts by event name, and
+/// the per-cell drop totals of `trace_summary` and `lat_summary` lines.
 fn summarize(rows: &[Vec<(String, JsonValue)>]) {
     let mut kinds: Vec<(String, u64)> = Vec::new();
     let mut events: Vec<(String, u64)> = Vec::new();
@@ -85,9 +84,6 @@ fn summarize(rows: &[Vec<(String, JsonValue)>]) {
     };
     let mut dropped = 0u64;
     let mut ring_cells = 0u64;
-    let mut spans = 0u64;
-    let mut span_overhead_ms = 0.0f64;
-    let mut span_cells = 0u64;
     let mut lat_cells = 0u64;
     let mut lat_records = 0u64;
     let mut lat_dropped = 0u64;
@@ -100,11 +96,6 @@ fn summarize(rows: &[Vec<(String, JsonValue)>]) {
             "trace_summary" => {
                 ring_cells += 1;
                 dropped += get_u64(row, "dropped");
-            }
-            "span_summary" => {
-                span_cells += 1;
-                spans += get_u64(row, "spans");
-                span_overhead_ms += get_f64(row, "overhead_ms");
             }
             "lat_summary" => {
                 lat_cells += 1;
@@ -130,12 +121,6 @@ fn summarize(rows: &[Vec<(String, JsonValue)>]) {
         println!(
             "events dropped by full rings: {dropped}{}",
             if dropped > 0 { "  (trace is TRUNCATED — raise event_capacity)" } else { "" }
-        );
-    }
-    if span_cells > 0 {
-        println!(
-            "span profiler: {spans} spans across {span_cells} cell(s), \
-             ~{span_overhead_ms:.1} ms estimated timer overhead"
         );
     }
     if lat_cells > 0 {
@@ -564,7 +549,9 @@ fn flag_value<T: std::str::FromStr>(rest: &[String], flag: &str) -> Option<T> {
 }
 
 fn main() -> std::io::Result<()> {
-    let opts = bumblebee_bench::parse_env();
+    // Subcommand, paths and `--cell`/`--threshold` stay in `rest`.
+    let opts = bumblebee_bench::parse_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| bumblebee_bench::usage_exit(&e));
     let mut rest = opts.rest.iter();
     let cmd = rest.next().map(String::as_str).unwrap_or("help");
     let path = rest.next().cloned();

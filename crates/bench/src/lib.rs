@@ -1,7 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-//! Shared harness plumbing for the figure/table binaries and the timing
-//! benches.
+//! Shared harness plumbing for the figure/table binaries.
 //!
 //! Every binary accepts the same flags:
 //!
@@ -22,8 +21,9 @@
 //!
 //! Bad input never starts a run: a zero or non-numeric number (of any
 //! flag above, `--trace-sample` or a `BUMBLEBEE_*` variable), an unknown
-//! workload, a scale whose geometry is invalid, or a missing flag value
-//! exits 2 with one `error:` line.
+//! workload, a scale whose geometry is invalid, a missing flag value, or
+//! an argument the binary does not take (an unknown flag, or a panel or
+//! sweep name it does not know) exits 2 with one `error:` line.
 //!
 //! * `--metrics` — record per-run observability (epoch time-series, event
 //!   trace, device histograms) and write `<figure>.epochs.jsonl`,
@@ -36,9 +36,6 @@
 //!   the same strict positive-integer contract as `BUMBLEBEE_JOBS` /
 //!   `BUMBLEBEE_SHARDS` — empty, zero or non-numeric values are hard
 //!   configuration errors);
-//! * `--spans` — profile wall-clock phase spans per cell (trace-gen,
-//!   controller lookup, migration/swap, DRAM service, epoch sampling) and
-//!   write them as `kind=span` lines into `<figure>.metrics.jsonl`;
 //! * `--out DIR` — directory for `*.jsonl` artifacts (default:
 //!   `BUMBLEBEE_RESULTS_DIR` or `./results`).
 
@@ -47,9 +44,6 @@ use memsim_sim::{Engine, MetricsConfig, ResultSet, RunConfig};
 use memsim_trace::SpecProfile;
 use memsim_types::Geometry;
 use std::path::PathBuf;
-use std::time::Instant;
-
-pub mod perf;
 
 /// Parsed harness options.
 #[derive(Debug, Clone)]
@@ -70,11 +64,9 @@ pub struct HarnessOpts {
     /// `--trace-sample N`: sampled latency attribution at rate one in ~N
     /// accesses (implies `--metrics`); `None` disables the record stream.
     pub trace_sample: Option<u64>,
-    /// Whether `--spans` wall-clock phase profiling is on.
-    pub spans: bool,
     /// Directory for JSONL artifacts.
     pub out: PathBuf,
-    /// Positional (non-flag) arguments left over.
+    /// Arguments no flag consumed, in order (see [`parse_env_selecting`]).
     pub rest: Vec<String>,
 }
 
@@ -92,8 +84,7 @@ impl HarnessOpts {
             Some(j) => Engine::new(j).with_shards(env.shards()).with_batch(env.batch()),
             None => env,
         }
-        .with_progress(true)
-        .with_spans(self.spans);
+        .with_progress(true);
         if self.shards.is_some() {
             engine = engine.with_shards(self.shards);
         }
@@ -116,20 +107,17 @@ impl HarnessOpts {
     /// carries the cause-attributed traffic matrix and per-epoch
     /// bandwidth-utilization gauges); with `--trace-sample`,
     /// `<figure>.lat.jsonl` (sampled latency-attribution records, also
-    /// deterministic); with `--metrics` or `--spans`,
-    /// `<figure>.metrics.jsonl` (wall-clock engine telemetry and span
-    /// phase trees).
+    /// deterministic); with `--metrics`, also `<figure>.metrics.jsonl`
+    /// (wall-clock engine telemetry).
     pub fn write_telemetry(&self, figure: &str, results: &ResultSet) {
         if self.metrics {
             self.write_jsonl(&format!("{figure}.epochs"), &results.epochs_jsonl_lines());
             self.write_jsonl(&format!("{figure}.trace"), &results.trace_jsonl_lines());
             self.write_jsonl(&format!("{figure}.bw"), &results.bw_jsonl_lines());
+            self.write_jsonl(&format!("{figure}.metrics"), &results.metrics_jsonl_lines());
         }
         if self.trace_sample.is_some() {
             self.write_jsonl(&format!("{figure}.lat"), &results.lat_jsonl_lines());
-        }
-        if self.metrics || self.spans {
-            self.write_jsonl(&format!("{figure}.metrics"), &results.metrics_jsonl_lines());
         }
     }
 
@@ -162,7 +150,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpts
     let mut batch: Option<usize> = None;
     let mut metrics = false;
     let mut trace_sample: Option<u64> = None;
-    let mut spans = false;
     let mut out: Option<PathBuf> = None;
     let mut rest = Vec::new();
     let mut it = args.into_iter();
@@ -183,7 +170,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpts
                 trace_sample = Some(positive_flag("--trace-sample", it.next())? as u64);
                 metrics = true; // records ride on the metrics pipeline
             }
-            "--spans" => spans = true,
             "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?)),
             other => rest.push(other.to_string()),
         }
@@ -217,7 +203,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOpts
         batch,
         metrics,
         trace_sample,
-        spans,
         out: out.unwrap_or_else(memsim_sim::results_dir),
         rest,
     })
@@ -261,27 +246,38 @@ fn trace_sample_env(value: Option<&str>) -> Result<Option<u64>, String> {
     }
 }
 
-/// Parses `std::env::args()` (skipping the binary name); bad input exits
-/// 2 with one line ([`usage_exit`]).
-pub fn parse_env() -> HarnessOpts {
-    parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e))
+/// The one optional positional argument in `rest`, which must be one of
+/// `choices` (a binary with no `choices` takes none).
+///
+/// # Errors
+///
+/// The first argument that is not one of `choices`, or a second one.
+fn select(rest: &[String], choices: &[&str]) -> Result<Option<String>, String> {
+    let first = rest.first();
+    let bad = match first {
+        Some(a) if !choices.contains(&a.as_str()) => Some(a),
+        _ => rest.get(1),
+    };
+    match bad {
+        None => Ok(first.cloned()),
+        Some(a) if choices.is_empty() => Err(format!("unexpected argument `{a}`")),
+        Some(a) => Err(format!("unexpected argument `{a}` (expected at most one of: {})", choices.join(", "))),
+    }
 }
 
-/// Times `f` over `iters` iterations after one warm-up call and prints a
-/// `name  total  per-iter` line — the plain-`fn main()` replacement for
-/// the former Criterion harness, keeping `cargo bench` registry-free.
-pub fn bench_case<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) {
-    std::hint::black_box(f());
-    let start = Instant::now(); // audit: allow(det-clock) -- bench timing is the product here, not simulated state
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let total = start.elapsed();
-    println!(
-        "{name:40} {iters:>9} iters  {:>10.1} ms total  {:>12.0} ns/iter",
-        total.as_secs_f64() * 1e3,
-        total.as_secs_f64() * 1e9 / iters as f64
-    );
+/// Parses `std::env::args()` (skipping the binary name) for a binary that
+/// takes no positional argument; bad input, an unknown flag included,
+/// exits 2 with one line ([`usage_exit`]).
+pub fn parse_env() -> HarnessOpts {
+    parse_env_selecting(&[]).0
+}
+
+/// [`parse_env`] for a binary whose one optional positional argument is
+/// one of `choices`; returns it alongside the options.
+pub fn parse_env_selecting(choices: &[&str]) -> (HarnessOpts, Option<String>) {
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e));
+    let selected = select(&opts.rest, choices).unwrap_or_else(|e| usage_exit(&e));
+    (opts, selected)
 }
 
 #[cfg(test)]
@@ -307,7 +303,6 @@ mod tests {
         assert_eq!(o.batch, None);
         assert!(!o.metrics);
         assert_eq!(o.trace_sample, None);
-        assert!(!o.spans);
         assert!(o.rest.is_empty());
     }
 
@@ -351,13 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_flag_enables_profiling() {
-        let o = opts(&["--spans"]);
-        assert!(o.spans);
-        assert!(!o.metrics, "--spans alone does not imply --metrics");
-    }
-
-    #[test]
     fn full_flag_switches_to_paper_scale() {
         let o = opts(&["--full"]);
         assert_eq!(o.cfg.scale, 1);
@@ -371,6 +359,23 @@ mod tests {
         assert_eq!(o.cfg.accesses, 1234);
         assert_eq!(o.profiles.len(), 2);
         assert_eq!(o.rest, vec!["ipc".to_string()]);
+    }
+
+    #[test]
+    fn select_accepts_one_listed_argument() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(select(&args(&[]), &[]), Ok(None));
+        assert_eq!(select(&args(&[]), &["ipc", "all"]), Ok(None));
+        assert_eq!(select(&args(&["ipc"]), &["ipc", "all"]), Ok(Some("ipc".to_string())));
+        assert_eq!(select(&args(&["--spans"]), &[]).unwrap_err(), "unexpected argument `--spans`");
+        assert_eq!(
+            select(&args(&["ipcc"]), &["ipc", "all"]).unwrap_err(),
+            "unexpected argument `ipcc` (expected at most one of: ipc, all)"
+        );
+        assert_eq!(
+            select(&args(&["ipc", "all"]), &["ipc", "all"]).unwrap_err(),
+            "unexpected argument `all` (expected at most one of: ipc, all)"
+        );
     }
 
     #[test]

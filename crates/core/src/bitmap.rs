@@ -77,12 +77,6 @@ impl BlockBitmap {
         self.0 = [0; 4];
     }
 
-    /// Whether no bit is set.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0 == [0; 4]
-    }
-
     /// Whether every bit of `other` is also set in `self`.
     pub fn contains_all(&self, other: &BlockBitmap) -> bool {
         self.0.iter().zip(&other.0).all(|(a, b)| a & b == *b)
@@ -152,7 +146,7 @@ mod tests {
     #[test]
     fn set_get_clear_round_trip() {
         let mut b = BlockBitmap::new();
-        assert!(b.is_empty());
+        assert_eq!(b.count(), 0);
         for i in [0u32, 1, 63, 64, 127, 128, 255] {
             b.set(i);
             assert!(b.get(i), "bit {i}");
@@ -162,7 +156,7 @@ mod tests {
         assert!(!b.get(64));
         assert_eq!(b.count(), 6);
         b.clear_all();
-        assert!(b.is_empty());
+        assert_eq!(b.count(), 0);
     }
 
     #[test]

@@ -97,7 +97,7 @@ mod tests {
     fn default_is_free() {
         let b = Ble::default();
         assert_eq!(b.mode, FrameMode::Free);
-        assert!(b.valid.is_empty() && b.dirty.is_empty());
+        assert!(b.valid.count() == 0 && b.dirty.count() == 0);
     }
 
     #[test]
@@ -135,7 +135,7 @@ mod tests {
         b.switch_to_mhbm();
         assert_eq!(b.mode, FrameMode::Mhbm);
         assert!(b.valid.get(0) && b.valid.get(7));
-        assert!(b.dirty.is_empty());
+        assert_eq!(b.dirty.count(), 0);
     }
 
     #[test]
@@ -155,7 +155,7 @@ mod tests {
         assert!(b.valid.get(9));
         assert_eq!(b.valid.count(), 1);
         b.begin_mhbm(1, None);
-        assert!(b.valid.is_empty());
+        assert_eq!(b.valid.count(), 0);
     }
 
     #[test]
@@ -165,6 +165,6 @@ mod tests {
         b.valid.set(3);
         b.reset();
         assert_eq!(b.mode, FrameMode::Free);
-        assert!(b.valid.is_empty());
+        assert_eq!(b.valid.count(), 0);
     }
 }

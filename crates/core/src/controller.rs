@@ -4,7 +4,6 @@ use crate::config::BumblebeeConfig;
 use crate::metadata::MetadataBreakdown;
 use crate::range::{EpochPartial, FlushSeg, MetaSplit, RangePlans};
 use crate::set::{RemapSet, ServedFrom, SetCtx};
-use memsim_obs::span::{self, Phase};
 use memsim_obs::{EpochGauges, Telemetry, TimedEvent};
 use memsim_types::{
     Access, AccessBatch, AccessKind, AccessPlan, Addr, CtrlStats, Geometry,
@@ -265,8 +264,6 @@ impl BumblebeeController {
     /// flushed set's ops are also recorded as a segment fired by chunk
     /// access `at`, so [`crate::range::splice`] can order them.
     fn flush_round(&mut self, plan: &mut AccessPlan, mut segs: Option<(&mut Vec<FlushSeg>, u32)>) {
-        // Only the (rare) actual flush rounds are spanned.
-        let _swap = span::span(Phase::MigrationSwap);
         let n = self.geometry.num_sets();
         let batch = u64::from(self.cfg.flush_batch_sets).min(n);
         for pos in 0..batch {
@@ -347,7 +344,6 @@ impl BumblebeeController {
         }
         self.access_set(set_id, o, wrapped, kind, plan);
         if self.telemetry.tick() {
-            let _sample = span::span(Phase::EpochSample);
             let gauges = self.gauges();
             self.telemetry.sample(&self.stats, gauges);
         }
@@ -518,7 +514,6 @@ impl HybridMemoryController for BumblebeeController {
     /// End-of-run drain of the owned sets, in set order; events carry the
     /// stream length as their access index.
     fn finish(&mut self, plan: &mut AccessPlan) {
-        let _swap = span::span(Phase::MigrationSwap);
         if let Some(t) = self.telemetry.active() {
             t.sync_accesses(self.accesses);
         }

@@ -466,11 +466,6 @@ impl HotTable {
         self.hbm.len
     }
 
-    /// Number of DRAM entries.
-    pub fn dram_len(&self) -> usize {
-        self.dram.len
-    }
-
     /// Iterates the HBM-queue entries, MRU first.
     pub fn iter_hbm(&self) -> impl Iterator<Item = &HotEntry> {
         ListIter { table: self, cur: self.hbm.head }
@@ -479,23 +474,6 @@ impl HotTable {
     /// Iterates the DRAM-queue entries, MRU first.
     pub fn iter_dram(&self) -> impl Iterator<Item = &HotEntry> {
         ListIter { table: self, cur: self.dram.head }
-    }
-
-    /// The hottest (highest-counter) DRAM entry, if any — used by the
-    /// all-memory-used swap rule. Counter ties resolve to the least
-    /// recently used entry (matching the original `max_by_key` over a
-    /// MRU-first queue, which kept the last maximum).
-    pub fn hottest_dram(&self) -> Option<HotEntry> {
-        let mut best: Option<HotEntry> = None;
-        let mut cur = self.dram.head;
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            if best.is_none_or(|b| n.entry.counter >= b.counter) {
-                best = Some(n.entry);
-            }
-            cur = n.next;
-        }
-        best
     }
 }
 
@@ -730,7 +708,7 @@ mod tests {
     }
 
     #[test]
-    fn hottest_dram_picks_max_counter() {
+    fn dram_touches_count_references() {
         let mut t = HotTable::new(2, 4);
         t.touch_dram(2);
         t.touch_dram(1);
@@ -738,7 +716,9 @@ mod tests {
         t.touch_dram(1);
         t.touch_dram(2); // page 2 re-referenced twice: counter 3
         t.touch_dram(3);
-        assert_eq!(t.hottest_dram().unwrap().ple, 2);
+        assert_eq!(t.dram_hotness(2), 3);
+        assert_eq!(t.dram_hotness(1), 2);
+        assert_eq!(t.dram_hotness(3), 1);
     }
 
     #[test]
@@ -776,15 +756,6 @@ mod tests {
         t.push_lru_hbm(HotEntry { ple: 3, counter: 9 });
         assert_eq!(t.lru_hbm().unwrap().ple, 3);
         assert_eq!(t.threshold(), 1, "counter-9 LRU insert does not lower the min");
-    }
-
-    #[test]
-    fn hottest_dram_tie_breaks_toward_lru() {
-        let mut t = HotTable::new(2, 4);
-        t.push_dram_front(HotEntry { ple: 1, counter: 5 });
-        t.push_dram_front(HotEntry { ple: 2, counter: 5 });
-        // Both carry counter 5; the LRU-most (ple 1) wins the tie.
-        assert_eq!(t.hottest_dram().unwrap().ple, 1);
     }
 
     #[cfg(feature = "checked")]

@@ -114,12 +114,6 @@ impl Naive {
     fn threshold(&self) -> u32 {
         self.hbm.iter().map(|e| e.counter).min().unwrap_or(0)
     }
-
-    /// `max_by_key` over a MRU-first queue keeps the *last* maximum, i.e.
-    /// counter ties resolve toward the LRU end.
-    fn hottest_dram(&self) -> Option<HotEntry> {
-        self.dram.iter().copied().max_by_key(|e| e.counter)
-    }
 }
 
 /// One random hot-table operation.
@@ -161,10 +155,8 @@ fn check_equal(table: &HotTable, naive: &Naive) -> Result<(), TestCaseError> {
     prop_assert_eq!(&hbm, &naive.hbm, "HBM queue order/counters diverged");
     prop_assert_eq!(&dram, &naive.dram, "DRAM queue order/counters diverged");
     prop_assert_eq!(table.hbm_len(), naive.hbm.len());
-    prop_assert_eq!(table.dram_len(), naive.dram.len());
     prop_assert_eq!(table.threshold(), naive.threshold(), "threshold T diverged");
     prop_assert_eq!(table.lru_hbm(), naive.hbm.last().copied());
-    prop_assert_eq!(table.hottest_dram(), naive.hottest_dram());
     for ple in 0..PLES {
         let n_hbm = naive.hbm.iter().find(|e| e.ple == ple);
         let n_dram = naive.dram.iter().find(|e| e.ple == ple);

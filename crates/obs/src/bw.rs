@@ -147,20 +147,9 @@ impl TrafficAccum {
         self.size[device.index()].record(u64::from(op.bytes));
     }
 
-    /// Records every transaction of one access's plan plus its fan-out
-    /// sample. Call exactly once per access, after the controller filled
-    /// the plan.
-    pub fn record_plan(&mut self, plan: &AccessPlan) {
-        for op in plan.critical.iter().chain(&plan.background) {
-            self.record_op(op);
-        }
-        self.mlp.record((plan.critical.len() + plan.background.len()) as u64);
-    }
-
-    /// [`record_plan`](Self::record_plan) for one sealed entry of a
-    /// batched plan buffer: the same per-access transaction fold plus
-    /// fan-out sample, taken from the entry's op slices instead of an
-    /// owned [`AccessPlan`].
+    /// Records every transaction of one access's plan — the critical and
+    /// background op slices of one sealed plan-buffer entry — plus its
+    /// fan-out sample. Call exactly once per access.
     pub fn record_view(&mut self, critical: &[DeviceOp], background: &[DeviceOp]) {
         for op in critical.iter().chain(background) {
             self.record_op(op);
@@ -243,7 +232,7 @@ mod tests {
         plan.critical.push(op(Mem::Hbm, 64, TrafficCause::DemandRead, true));
         plan.background.push(op(Mem::OffChip, 2048, TrafficCause::MissFill, false));
         plan.background.push(op(Mem::Hbm, 2048, TrafficCause::MissFill, false));
-        acc.record_plan(&plan);
+        acc.record_view(&plan.critical, &plan.background);
         assert_eq!(acc.matrix.device_bytes(TrafficDevice::MHbm), 64);
         assert_eq!(acc.matrix.device_bytes(TrafficDevice::CHbm), 2048);
         assert_eq!(acc.matrix.device_bytes(TrafficDevice::OffChip), 2048);
@@ -264,7 +253,7 @@ mod tests {
         let mut plan = AccessPlan::new();
         plan.critical.push(op(Mem::Hbm, 64, TrafficCause::DemandRead, false));
         plan.background.push(op(Mem::OffChip, 4096, TrafficCause::Writeback, false));
-        acc.record_plan(&plan);
+        acc.record_view(&plan.critical, &plan.background);
         reconcile(&acc.matrix, 64, 4096).unwrap();
         // Doctor the device side: pretend a 64-byte transaction reached the
         // off-chip device without being attributed to any cause.

@@ -31,16 +31,10 @@
 //!   per-cause [`bw::TrafficMatrix`], the [`bw::TrafficAccum`] op-size /
 //!   MLP histograms, cumulative [`bw::BwPoint`] epoch snapshots, and the
 //!   hard [`bw::reconcile`] check
-//!   against the devices' undifferentiated byte totals;
-//! * [`span`] — a scoped wall-clock span profiler (thread-local RAII
-//!   guards aggregated into a per-phase tree), answering *where simulator
-//!   wall time goes*; disabled it costs one thread-local flag check.
+//!   against the devices' undifferentiated byte totals.
 //!
-//! Everything recorded by the recorder/event/snapshot machinery is a pure
-//! function of the access stream, so epoch/trace output is byte-identical
-//! at any `--jobs` width. The [`span`] profiler is the deliberate
-//! exception: it measures wall time and its output belongs only in the
-//! nondeterministic `.metrics.jsonl` / `BENCH_*.json` artifacts.
+//! Everything recorded here is a pure function of the access stream, so
+//! epoch/trace output is byte-identical at any `--jobs` width.
 //!
 //! # Example
 //!
@@ -72,7 +66,6 @@ pub mod hist;
 pub mod lat;
 pub mod recorder;
 pub mod snapshot;
-pub mod span;
 
 pub use bw::{reconcile, BwPoint, TrafficAccum, TrafficMatrix};
 pub use event::{merge_shard_events, EventRing, TimedEvent, TraceEvent};
@@ -82,4 +75,3 @@ pub use lat::{
 };
 pub use recorder::{MetricsConfig, MetricsRecorder, NoopRecorder, RunRecorder, Telemetry};
 pub use snapshot::{EpochGauges, EpochSnapshot, OCC_BUCKETS};
-pub use span::{Phase, SpanNode, SpanTree};

@@ -57,16 +57,8 @@ fn run_point(
     (geomean(&speedups), metadata_kb)
 }
 
-/// Sweeps the hot-table off-chip queue depth (paper default: 8).
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_hot_queue(cfg: &RunConfig, profiles: &[SpecProfile]) -> Result<Vec<SweepPoint>, GeometryError> {
-    sweep_hot_queue_with(&Engine::new(1), cfg, profiles)
-}
-
-/// [`sweep_hot_queue`] on `engine` (one unit of work per swept value).
+/// Sweeps the hot-table off-chip queue depth (paper default: 8), one
+/// unit of work on `engine` per swept value.
 ///
 /// # Errors
 ///
@@ -88,19 +80,8 @@ pub fn sweep_hot_queue_with(
     }))
 }
 
-/// Sweeps the "most blocks" mode-switch fraction (paper: strict majority).
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_switch_fraction(
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    sweep_switch_fraction_with(&Engine::new(1), cfg, profiles)
-}
-
-/// [`sweep_switch_fraction`] on `engine`.
+/// Sweeps the "most blocks" mode-switch fraction (paper: strict
+/// majority) on `engine`.
 ///
 /// # Errors
 ///
@@ -127,28 +108,10 @@ pub fn sweep_switch_fraction_with(
     }))
 }
 
-/// Sweeps the remapping-set HBM associativity (paper: 8-way).
-///
-/// # Errors
-///
-/// Propagates geometry errors for invalid way counts.
-pub fn sweep_ways(cfg: &RunConfig, profiles: &[SpecProfile]) -> Result<Vec<SweepPoint>, GeometryError> {
-    sweep_ways_with(&Engine::new(1), cfg, profiles)
-}
-
-/// [`sweep_ways`] on `engine`.
-///
-/// # Errors
-///
-/// Propagates geometry errors for invalid way counts.
-pub fn sweep_ways_with(
-    engine: &Engine,
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    let baselines = baselines_with(engine, cfg, profiles)?;
-    // Validate every geometry up front so errors surface before any run.
-    let points: Vec<(u32, Geometry)> = [2u32, 4, 8, 16]
+/// The geometry of every point of [`sweep_ways_with`]: `cfg`'s geometry
+/// at each swept associativity.
+fn way_geometries(cfg: &RunConfig) -> Result<Vec<(u32, Geometry)>, GeometryError> {
+    [2u32, 4, 8, 16]
         .into_iter()
         .map(|ways| {
             let geometry = Geometry::builder()
@@ -160,7 +123,31 @@ pub fn sweep_ways_with(
                 .build()?;
             Ok((ways, geometry))
         })
-        .collect::<Result<_, GeometryError>>()?;
+        .collect()
+}
+
+/// Checks that every geometry any sweep runs is valid at `cfg`, so a
+/// caller can reject a bad `--scale` before the first sweep starts.
+///
+/// # Errors
+///
+/// The first swept geometry that does not fit.
+pub fn validate(cfg: &RunConfig) -> Result<(), GeometryError> {
+    way_geometries(cfg).map(drop)
+}
+
+/// Sweeps the remapping-set HBM associativity (paper: 8-way) on `engine`.
+///
+/// # Errors
+///
+/// Propagates geometry errors for invalid way counts.
+pub fn sweep_ways_with(
+    engine: &Engine,
+    cfg: &RunConfig,
+    profiles: &[SpecProfile],
+) -> Result<Vec<SweepPoint>, GeometryError> {
+    let points = way_geometries(cfg)?;
+    let baselines = baselines_with(engine, cfg, profiles)?;
     Ok(engine.par_map(&points, |&(ways, geometry)| {
         let bee = BumblebeeConfig { sram_budget: cfg.sram_budget, ..BumblebeeConfig::paper() };
         let (speedup, metadata_kb) = run_point(cfg, geometry, &bee, profiles, &baselines);
@@ -168,19 +155,7 @@ pub fn sweep_ways_with(
     }))
 }
 
-/// Sweeps the zombie-detection window (paper: "a long time").
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_zombie_window(
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    sweep_zombie_window_with(&Engine::new(1), cfg, profiles)
-}
-
-/// [`sweep_zombie_window`] on `engine`.
+/// Sweeps the zombie-detection window (paper: "a long time") on `engine`.
 ///
 /// # Errors
 ///
@@ -237,12 +212,6 @@ pub fn jsonl_lines(points: &[SweepPoint]) -> Vec<String> {
         .collect()
 }
 
-/// The `Design` hook so the binary can reuse shared plumbing. (Sweeps build
-/// Bumblebee variants directly; this is here for discoverability.)
-pub fn design() -> Design {
-    Design::Bumblebee
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,7 +223,7 @@ mod tests {
     #[test]
     fn hot_queue_sweep_metadata_grows_with_depth() {
         let cfg = RunConfig::tiny();
-        let pts = sweep_hot_queue(&cfg, &profiles()).unwrap();
+        let pts = sweep_hot_queue_with(&Engine::new(1), &cfg, &profiles()).unwrap();
         assert_eq!(pts.len(), 5);
         for w in pts.windows(2) {
             assert!(w[1].metadata_kb >= w[0].metadata_kb, "deeper queue = more metadata");
@@ -267,7 +236,7 @@ mod tests {
     #[test]
     fn way_sweep_produces_valid_geometries() {
         let cfg = RunConfig::tiny();
-        let pts = sweep_ways(&cfg, &profiles()).unwrap();
+        let pts = sweep_ways_with(&Engine::new(1), &cfg, &profiles()).unwrap();
         assert_eq!(pts.len(), 4);
         let text = render(&pts);
         assert!(text.contains("hbm_ways"));
@@ -276,7 +245,7 @@ mod tests {
     #[test]
     fn switch_fraction_sweep_runs() {
         let cfg = RunConfig::tiny();
-        let pts = sweep_switch_fraction(&cfg, &profiles()).unwrap();
+        let pts = sweep_switch_fraction_with(&Engine::new(1), &cfg, &profiles()).unwrap();
         assert_eq!(pts.len(), 5);
         assert!(pts.iter().all(|p| p.speedup > 0.5));
     }

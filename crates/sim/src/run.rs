@@ -13,7 +13,6 @@ use crate::designs::{AnyController, Design};
 use crate::engine::DEFAULT_BATCH;
 use crate::report::SimReport;
 use crate::system::{SimParams, System, SystemCounters};
-use memsim_obs::span::{self, Phase};
 use memsim_obs::{
     AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, LatRing, MetricsConfig, RunRecorder,
     TimedEvent, TrafficAccum,
@@ -203,7 +202,6 @@ pub(crate) fn run_controller(
     metrics: Option<&MetricsConfig>,
     batch: usize,
 ) -> Result<(SimReport, Option<RunObservations>), GeometryError> {
-    let _cell = span::span(Phase::Cell);
     if let Some(m) = metrics {
         controller.install_recorder(Box::new(RunRecorder::new(m)));
     }
@@ -220,10 +218,7 @@ pub(crate) fn run_controller(
     while seq < timeline.cuts.total {
         timeline.before_chunk(seq, &system);
         let end = timeline.cuts.chunk_end(seq);
-        {
-            let _gen = span::span(Phase::TraceGen);
-            workload.fill_batch(&mut soa, (end - seq) as usize);
-        }
+        workload.fill_batch(&mut soa, (end - seq) as usize);
         system.step_batch(&soa, &mut plans, seq, lat_ring.as_mut(), timeline.sample_rate);
         seq = end;
     }

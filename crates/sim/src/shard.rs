@@ -17,10 +17,7 @@ use crate::report::SimReport;
 use crate::run::{harvest, run_controller, LookupSummary, RunConfig, RunObservations, Timeline};
 use crate::system::System;
 use bumblebee_core::{splice, BumblebeeConfig, BumblebeeController, EpochPartial, RangePlans};
-use memsim_obs::span::{self, Phase};
-use memsim_obs::{
-    merge_shard_events, EpochSnapshot, MetricsConfig, RunRecorder, SpanTree, TimedEvent,
-};
+use memsim_obs::{merge_shard_events, EpochSnapshot, MetricsConfig, RunRecorder, TimedEvent};
 use memsim_trace::SpecProfile;
 use memsim_types::{
     AccessBatch, AccessPlan, CtrlStats, GeometryError, HybridMemoryController, PlanBuffer,
@@ -124,7 +121,6 @@ struct Finished {
     partials: Vec<EpochPartial>,
     /// The range's end-of-run drain.
     drain: AccessPlan,
-    spans: Option<SpanTree>,
 }
 
 /// A range worker: plans every chunk it is sent, in order, then drains
@@ -133,17 +129,10 @@ fn range_worker(
     mut controller: BumblebeeController,
     jobs: &mpsc::Receiver<Job>,
     done: &mpsc::Sender<RangePlans>,
-    profile_spans: bool,
 ) -> Finished {
-    if profile_spans {
-        span::enable();
-    }
     let mut partials = Vec::new();
     while let Ok(Job { batch, closes_epoch, mut out }) = jobs.recv() {
-        {
-            let _lookup = span::span(Phase::CtrlLookup);
-            controller.plan_range(&batch, &mut out);
-        }
+        controller.plan_range(&batch, &mut out);
         if closes_epoch {
             partials.push(controller.epoch_partial());
         }
@@ -156,7 +145,7 @@ fn range_worker(
     }
     let mut drain = AccessPlan::new();
     controller.finish(&mut drain);
-    Finished { controller, partials, drain, spans: profile_spans.then(span::collect) }
+    Finished { controller, partials, drain }
 }
 
 /// A range worker as the calling thread sees it.
@@ -176,7 +165,6 @@ fn run_ranged(
     metrics: Option<&MetricsConfig>,
     batch: usize,
 ) -> (SimReport, Option<RunObservations>) {
-    let _cell = span::span(Phase::Cell);
     let geometry = cfg.geometry;
     let mut system = System::new((), &geometry, cfg.params, design.uses_hbm());
     if metrics.is_some() {
@@ -186,7 +174,6 @@ fn run_ranged(
     let cuts = timeline.cuts;
     let mut lat_ring = timeline.lat_ring();
     let mut workload = cfg.workload(profile);
-    let profile_spans = span::profiling();
     // Chunks in flight: at least one, at most eight.
     let lookahead = (LOOKAHEAD_ACCESSES / batch.max(1)).clamp(1, 8);
     let finished: Vec<Finished> = std::thread::scope(|scope| {
@@ -199,9 +186,7 @@ fn run_ranged(
             }
             let (jobs, jobs_rx) = mpsc::channel();
             let (done_tx, done) = mpsc::channel();
-            handles.push(scope.spawn(move || {
-                range_worker(controller, &jobs_rx, &done_tx, profile_spans)
-            }));
+            handles.push(scope.spawn(move || range_worker(controller, &jobs_rx, &done_tx)));
             let pool = (0..=lookahead).map(|_| RangePlans::new()).collect();
             workers.push(Worker { jobs, done, pool });
         }
@@ -218,11 +203,8 @@ fn run_ranged(
             while queue.len() < lookahead && generated < cuts.total {
                 let end = cuts.chunk_end(generated);
                 let mut chunk = free.pop().expect("a free chunk buffer");
-                {
-                    let _gen = span::span(Phase::TraceGen);
-                    let soa = Arc::get_mut(&mut chunk).expect("every range released the chunk");
-                    workload.fill_batch(soa, (end - generated) as usize);
-                }
+                let soa = Arc::get_mut(&mut chunk).expect("every range released the chunk");
+                workload.fill_batch(soa, (end - generated) as usize);
                 for w in workers.iter_mut() {
                     let out = w.pool.pop().expect("a free plan buffer");
                     let closes_epoch = cuts.is_boundary(end);
@@ -251,13 +233,6 @@ fn run_ranged(
         drop(workers);
         handles.into_iter().map(|h| h.join().expect("range worker panicked")).collect()
     });
-    // Worker span trees graft under this thread's open Cell span, in
-    // range order (wall-clock telemetry only — never byte-compared).
-    for f in &finished {
-        if let Some(tree) = &f.spans {
-            span::absorb(tree);
-        }
-    }
     // The ranges are ascending, so their drains in range order are the
     // serial drain.
     let mut controllers: Vec<BumblebeeController> = Vec::with_capacity(finished.len());

@@ -2,7 +2,6 @@
 //! accounting.
 
 use memsim_dram::{presets, DramDevice};
-use memsim_obs::span::{self, Phase};
 use memsim_obs::{sampled, AccessRecord, BwPoint, LatRing, TrafficAccum};
 use memsim_types::{
     Access, AccessBatch, AccessKind, AccessPlan, Geometry, HybridMemoryController, Mem,
@@ -176,7 +175,6 @@ impl<C> System<C> {
         mut ring: Option<&mut LatRing>,
         rate: u64,
     ) -> u64 {
-        let _service = span::span(Phase::DramService);
         let mut raw_latency = 0;
         for i in 0..batch.len() {
             let view = plans.entry(i);
@@ -334,10 +332,7 @@ impl<C: HybridMemoryController> System<C> {
         ring: Option<&mut LatRing>,
         rate: u64,
     ) -> u64 {
-        {
-            let _lookup = span::span(Phase::CtrlLookup);
-            self.controller.access_batch(batch, plans);
-        }
+        self.controller.access_batch(batch, plans);
         self.service(batch, plans, base_seq, ring, rate)
     }
 

@@ -222,135 +222,16 @@ if cargo run --release -q -p bumblebee-bench --bin trace_tool -- \
 fi
 echo "ok: epochs self-diff clean, doctored diff exits nonzero"
 
-echo "== bench: bench_harness --quick + phase coverage + compare gates =="
-cargo run --release -q -p bumblebee-bench --bin bench_harness -- \
-  --quick --out "$smoke/bench" --sha smoke >/dev/null
-bench="$smoke/bench/BENCH_smoke.json"
-if [ ! -s "$bench" ]; then
-  echo "FAIL: bench_harness did not write $bench" >&2
-  exit 1
-fi
-coverage="$(grep -o '"self_coverage":[0-9.eE+-]*' "$bench" | head -1 | cut -d: -f2)"
-if ! awk -v c="$coverage" 'BEGIN { exit !(c >= 0.90) }'; then
-  echo "FAIL: phase self-time coverage $coverage < 0.90 of measured wall time" >&2
-  exit 1
-fi
-cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
-  compare "$bench" "$bench" >/dev/null
-echo "ok: self-compare reports zero regressions (phase coverage $coverage)"
-sed -E 's/"cycles":[0-9]+/"cycles":1/' "$bench" > "$smoke/bench/doctored.json"
-if cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
-  compare "$bench" "$smoke/bench/doctored.json" >/dev/null 2>&1; then
-  echo "FAIL: bench_tool compare did not flag a doctored regression" >&2
-  exit 1
-fi
-echo "ok: doctored regression detected (nonzero exit)"
-
-echo "== bench: cycle-domain invariants vs committed baseline =="
-# Wall times are machine-specific, so the time gate is disabled here; the
-# cycle-domain invariants (cycles, IPC, hit rate, migrations, over-fetch)
-# must match results/bench_baseline.json exactly. A PR that intentionally
-# changes simulated behavior must regenerate the baseline:
-#   cargo run --release -p bumblebee-bench --bin bench_harness -- \
-#     --quick --name bench_baseline
-cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
-  compare results/bench_baseline.json "$bench" \
-  --time-threshold-pct 1000000 >/dev/null
-echo "ok: invariants match the committed baseline"
-
-echo "== bench: wall-time check vs committed baseline (warn-only) =="
-# Same comparison at the default 30% time threshold. Wall times on shared
-# CI machines are noisy, so a time regression here WARNS instead of
-# failing — the exact invariant gate above is the hard gate. A warning
-# that persists across runs on a quiet machine is a real regression.
-if cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
-  compare results/bench_baseline.json "$bench"; then
-  echo "ok: wall time within 30% of the committed baseline"
-else
-  echo "WARN: wall time regressed >30% vs the committed baseline" \
-       "(invariants are clean; treat as noise unless it persists)" >&2
-fi
-
-echo "== bench: batched-pipeline throughput >= 1.5x the per-access pipeline (warn-only) =="
-# The tentpole's perf claim as a CI artifact: the same quick suite run
-# with --batch 1 (the one-access-at-a-time pipeline) must be at least
-# 1.5x slower than the default-batch run above — measured back-to-back
-# on this machine, so the ratio is honest even on slow hosts. The
-# cycle-domain invariants between the two BENCH files are a hard gate
-# (batching must not change a single simulated number); the throughput
-# ratio itself WARNS because a loaded machine can squeeze either run.
-cargo run --release -q -p bumblebee-bench --bin bench_harness -- \
-  --quick --batch 1 --out "$smoke/bench" --sha batch1 >/dev/null
-cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
-  compare "$smoke/bench/BENCH_batch1.json" "$bench" \
-  --time-threshold-pct 1000000 >/dev/null
-echo "ok: cycle-domain invariants identical at --batch 1 and the default batch"
-aggregate() {
-  cargo run --release -q -p bumblebee-bench --bin bench_tool -- show "$1" \
-    | grep -oE '[0-9]+ accesses/sec aggregate' | cut -d' ' -f1
-}
-rate1="$(aggregate "$smoke/bench/BENCH_batch1.json")"
-rateN="$(aggregate "$bench")"
-if awk -v a="$rate1" -v b="$rateN" 'BEGIN { exit !(a > 0 && b / a >= 1.5) }'; then
-  echo "ok: ${rateN} accesses/sec batched vs ${rate1} at --batch 1 (>= 1.5x)"
-else
-  echo "WARN: batched suite throughput ${rateN} accesses/sec is < 1.5x the" \
-       "--batch 1 pipeline (${rate1}); expected only on loaded hosts" >&2
-fi
-
-echo "== bench: disabled-instrumentation wall within 2% of baseline (warn-only) =="
-# The timed bench repeats always run with latency sampling AND traffic
-# accounting disabled (the attribution pass is a separate untimed run), so
-# `sampled()` must compile down to a branch that never fires and the
-# traffic accumulator must stay a never-taken `Option` check: even a 2%
-# wall drift vs the committed baseline would mean the instrumentation
-# leaks into the uninstrumented hot path. Shared CI machines are too
-# noisy for a hard gate at 2%, so this WARNS.
-if cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
-  compare results/bench_baseline.json "$bench" \
-  --time-threshold-pct 2 >/dev/null 2>&1; then
-  echo "ok: disabled-instrumentation wall within 2% of the committed baseline"
-else
-  echo "WARN: wall time drifted >2% vs the committed baseline with sampling" \
-       "and traffic accounting disabled (treat as noise unless it persists" \
-       "on a quiet machine)" >&2
-fi
-
-echo "== bench: --shards 2 quick suite invariants vs committed baseline =="
-# The whole quick suite (Bumblebee and every baseline) with two lookup
-# workers per Bumblebee cell: sharding must not change a single
-# simulated number, so its cycle-domain invariants must match
-# results/bench_baseline.json exactly, like the serial run's above.
-cargo run --release -q -p bumblebee-bench --bin bench_harness -- \
-  --quick --shards 2 --out "$smoke/bench" --sha shards2 >/dev/null
-cargo run --release -q -p bumblebee-bench --bin bench_tool -- \
-  compare results/bench_baseline.json "$smoke/bench/BENCH_shards2.json" \
-  --time-threshold-pct 1000000 >/dev/null
-echo "ok: --shards 2 invariants match the committed baseline"
-
-echo "== bench: --shards intra-run speedup (warn-only) =="
-# Suite wall at --shards 1 vs --shards 4: the >= 2x speedup is warn-only
-# — it needs 4 real cores and a quiet machine — and both BENCH files
-# record their shard width for later inspection.
-cores="$(nproc 2>/dev/null || echo 1)"
-if [ "$cores" -lt 4 ]; then
-  echo "skip: host has $cores core(s), speedup check needs >= 4"
-else
-  cargo run --release -q -p bumblebee-bench --bin bench_harness -- \
-    --quick --shards 1 --out "$smoke/bench" --sha shards1 >/dev/null
-  cargo run --release -q -p bumblebee-bench --bin bench_harness -- \
-    --quick --shards 4 --out "$smoke/bench" --sha shards4 >/dev/null
-  suite_wall() {
-    grep -o '"wall_ms":[0-9.eE+-]*' "$1" | cut -d: -f2 | awk '{s+=$1} END {print s}'
-  }
-  wall1="$(suite_wall "$smoke/bench/BENCH_shards1.json")"
-  wall4="$(suite_wall "$smoke/bench/BENCH_shards4.json")"
-  if awk -v a="$wall1" -v b="$wall4" 'BEGIN { exit !(b > 0 && a / b >= 2.0) }'; then
-    echo "ok: suite wall ${wall1} ms at 1 shard vs ${wall4} ms at 4 shards (>= 2x)"
-  else
-    echo "WARN: --shards 4 suite wall ${wall4} ms is < 2x faster than" \
-         "--shards 1 (${wall1} ms); expected on loaded or small hosts" >&2
-  fi
-fi
+echo "== perfbench: builds against the workspace crates, tests pass =="
+# perfbench (the wall-clock benchmark; see perfbench/README.md) is a
+# workspace of its own, so nothing above compiles it: this gate catches a
+# change to any pub API it uses. The cycle-domain golden of the Fig. 8
+# quick matrix is tier-1 (tests/golden.rs, run by `cargo test -q` above).
+perfbench_target="$PWD/target/perfbench"
+CARGO_TARGET_DIR="$perfbench_target" \
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR="$perfbench_target" \
+  cargo test -q --offline --manifest-path perfbench/Cargo.toml
+echo "ok: perfbench builds and its tests pass"
 
 echo "== verify.sh: all gates passed =="
